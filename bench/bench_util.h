@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,24 +20,24 @@
 namespace anc::bench {
 
 /// Math profiles a sweep should run, from the ANC_MATH_PROFILE
-/// environment variable: "exact" (the default), "fast", "simd", "both"
-/// (exact + fast), or "all" (exact + fast + simd).  Multi-profile values
-/// emit profile-tagged rows for each; the axis is seed-collapsed, so the
-/// tuples share channel realizations.  Every engine-backed bench driver
-/// applies this, which is how the CI profile-matrix jobs rerun the
-/// sweeps without bespoke flags.  Unknown values throw (via
-/// math_profile_from_string).
+/// environment variable: "exact" (the default), "fast", or "both"
+/// (exact + fast) — the --math-profile syntax of anc_sweep, through the
+/// same parser.  Multi-profile values emit profile-tagged rows for each;
+/// the axis is seed-collapsed, so the tuples share channel realizations.
+/// Every engine-backed bench driver applies this, which is how the CI
+/// profile jobs rerun the sweeps without bespoke flags.  An unknown
+/// value prints the error and exits 2 (the usage code).
 inline std::vector<dsp::Math_profile> math_profiles_from_env()
 {
     const char* env = std::getenv("ANC_MATH_PROFILE");
-    if (env == nullptr || std::string_view{env} == "exact")
+    if (env == nullptr)
         return {dsp::Math_profile::exact};
-    if (std::string_view{env} == "both")
-        return {dsp::Math_profile::exact, dsp::Math_profile::fast};
-    if (std::string_view{env} == "all")
-        return {dsp::Math_profile::exact, dsp::Math_profile::fast,
-                dsp::Math_profile::simd};
-    return {dsp::math_profile_from_string(env)};
+    try {
+        return dsp::math_profiles_from_string(env);
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "error: ANC_MATH_PROFILE: %s\n", error.what());
+        std::exit(2);
+    }
 }
 
 /// The summaries restricted to one math profile.  The figure drivers'

@@ -17,30 +17,18 @@ constexpr double inv_sqrt2 = 0.70710678118654752440;
 /// out[n] += signal[n] * rotor_n for n in [begin, end), where rotor_n
 /// advances by `step` per sample (the fast profile's incremental
 /// rotation).  A zero drift makes `step` unity; that case is hoisted
-/// into a constant-rotor multiply-add loop with no serial dependence —
-/// under the simd profile it dispatches to the lane kernels
-/// (simd::rotor_accumulate, bit-identical to the scalar loop), the same
-/// profile gate the AWGN generator uses.
+/// into a constant-rotor multiply-add with no serial dependence, which
+/// runs on the lane kernels (simd::rotor_accumulate, bit-identical to
+/// the scalar loop).
 void accumulate_rotor(dsp::Signal_view signal, std::size_t begin, std::size_t end,
                       dsp::Sample rotor, dsp::Sample step, bool constant_rotor,
-                      bool use_lanes, dsp::Sample* out)
+                      dsp::Sample* out)
 {
     const double* in = reinterpret_cast<const double*>(signal.data());
     double* acc = reinterpret_cast<double*>(out);
     if (constant_rotor) {
-        const double rr = rotor.real();
-        const double ri = rotor.imag();
-        if (use_lanes) {
-            simd::rotor_accumulate(in + 2 * begin, acc + 2 * begin, end - begin,
-                                   rr, ri);
-            return;
-        }
-        for (std::size_t n = begin; n < end; ++n) {
-            const double re = in[2 * n];
-            const double im = in[2 * n + 1];
-            acc[2 * n] += re * rr - im * ri;
-            acc[2 * n + 1] += re * ri + im * rr;
-        }
+        simd::rotor_accumulate(in + 2 * begin, acc + 2 * begin, end - begin,
+                               rotor.real(), rotor.imag());
         return;
     }
     double rr = rotor.real();
@@ -90,8 +78,7 @@ void Link_channel::accumulate_faded(dsp::Signal_view signal, std::uint64_t fadin
             const dsp::Sample step =
                 dsp::profile_polar(profile, 1.0, params_.phase_drift);
             accumulate_rotor(signal, begin_n, end_n, rotor, step,
-                             params_.phase_drift == 0.0,
-                             profile == dsp::Math_profile::simd, out);
+                             params_.phase_drift == 0.0, out);
             continue;
         }
         for (std::size_t n = begin_n; n < end_n; ++n) {
@@ -102,55 +89,82 @@ void Link_channel::accumulate_faded(dsp::Signal_view signal, std::uint64_t fadin
     }
 }
 
-const dsp::Sample* Link_channel::rotor_stream(std::size_t samples) const
+const dsp::Sample* Link_channel::rotor_checkpoints(std::size_t samples) const
 {
-    if (rotor_cache_.size() < samples) {
-        if (rotor_cache_.empty())
-            rotor_cache_.push_back(dsp::profile_polar(dsp::Math_profile::fast,
+    const std::size_t block = rotor_span * rotor_chains;
+    const std::size_t needed = (samples + block - 1) / block * rotor_chains;
+    if (checkpoints_.size() < needed) {
+        if (checkpoints_.empty())
+            checkpoints_.push_back(dsp::profile_polar(dsp::Math_profile::fast,
                                                       params_.gain, params_.phase));
         const dsp::Sample step =
             dsp::profile_polar(dsp::Math_profile::fast, 1.0, params_.phase_drift);
         const double sr = step.real();
         const double si = step.imag();
-        rotor_cache_.reserve(samples);
-        double rr = rotor_cache_.back().real();
-        double ri = rotor_cache_.back().imag();
-        while (rotor_cache_.size() < samples) {
-            // The recurrence of accumulate_rotor, verbatim, so cached
-            // streams stay bit-identical to the historical serial loop.
-            const double next_rr = rr * sr - ri * si;
-            ri = rr * si + ri * sr;
-            rr = next_rr;
-            rotor_cache_.push_back(dsp::Sample{rr, ri});
+        checkpoints_.reserve(needed);
+        double rr = checkpoints_.back().real();
+        double ri = checkpoints_.back().imag();
+        while (checkpoints_.size() < needed) {
+            // The recurrence of accumulate_rotor, verbatim, so every
+            // checkpoint is bit-identical to the historical serial loop.
+            for (std::size_t k = 0; k < rotor_span; ++k) {
+                const double next_rr = rr * sr - ri * si;
+                ri = rr * si + ri * sr;
+                rr = next_rr;
+            }
+            checkpoints_.push_back(dsp::Sample{rr, ri});
         }
     }
-    return rotor_cache_.data();
+    return checkpoints_.data();
 }
 
-void Link_channel::accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out,
-                                         dsp::Math_profile profile) const
+void Link_channel::accumulate_fixed_fast(dsp::Signal_view signal,
+                                         dsp::Sample* out) const
 {
-    if (profile == dsp::Math_profile::simd && params_.phase_drift != 0.0) {
-        // Drifting fixed-gain link under the simd profile: the rotor
-        // stream is a pure function of the link params, so the serial
-        // recurrence is memoised per link and the accumulation becomes an
-        // element-wise complex multiply-add the lane kernels can chew.
-        // (Rayleigh links keep the recurrence: the fade is folded into
-        // rotor_0 there, and ((base·fade)·step^n) rounds differently from
-        // fade·(base·step^n), so a shared cache would change bits.)
-        simd::cmul_accumulate(reinterpret_cast<const double*>(signal.data()),
-                              reinterpret_cast<const double*>(
-                                  rotor_stream(signal.size())),
-                              reinterpret_cast<double*>(out), signal.size());
+    const double* in = reinterpret_cast<const double*>(signal.data());
+    double* acc = reinterpret_cast<double*>(out);
+    if (params_.phase_drift == 0.0) {
+        const dsp::Sample rotor =
+            dsp::profile_polar(dsp::Math_profile::fast, params_.gain, params_.phase);
+        simd::rotor_accumulate(in, acc, signal.size(), rotor.real(), rotor.imag());
         return;
     }
-    const dsp::Sample rotor =
-        dsp::profile_polar(dsp::Math_profile::fast, params_.gain, params_.phase);
+    // Drifting link: the rotor stream rotor_n = rotor_0·step^n is a
+    // serial recurrence, but from the cached checkpoints (every
+    // rotor_span-th rotor) rotor_chains spans regenerate independently —
+    // interleaved, so their chains overlap instead of waiting on one
+    // multiply-add latency per sample — and the accumulation is then an
+    // element-wise complex multiply-add on the lanes.  (Rayleigh links
+    // keep the plain recurrence: the fade is folded into rotor_0 there,
+    // and ((base·fade)·step^n) rounds differently from fade·(base·step^n),
+    // so per-link checkpoints would change bits.)
+    const dsp::Sample* checkpoints = rotor_checkpoints(signal.size());
     const dsp::Sample step =
         dsp::profile_polar(dsp::Math_profile::fast, 1.0, params_.phase_drift);
-    accumulate_rotor(signal, 0, signal.size(), rotor, step,
-                     params_.phase_drift == 0.0,
-                     profile == dsp::Math_profile::simd, out);
+    const double sr = step.real();
+    const double si = step.imag();
+    double rotors[2 * rotor_span * rotor_chains];
+    for (std::size_t begin = 0; begin < signal.size();
+         begin += rotor_span * rotor_chains) {
+        double rr[rotor_chains];
+        double ri[rotor_chains];
+        for (std::size_t j = 0; j < rotor_chains; ++j) {
+            rr[j] = checkpoints[begin / rotor_span + j].real();
+            ri[j] = checkpoints[begin / rotor_span + j].imag();
+        }
+        for (std::size_t k = 0; k < rotor_span; ++k) {
+            for (std::size_t j = 0; j < rotor_chains; ++j) {
+                rotors[2 * (j * rotor_span + k)] = rr[j];
+                rotors[2 * (j * rotor_span + k) + 1] = ri[j];
+                const double next_rr = rr[j] * sr - ri[j] * si;
+                ri[j] = rr[j] * si + ri[j] * sr;
+                rr[j] = next_rr;
+            }
+        }
+        simd::cmul_accumulate(in + 2 * begin, rotors, acc + 2 * begin,
+                              std::min(rotor_span * rotor_chains,
+                                       signal.size() - begin));
+    }
 }
 
 Link_channel::Link_channel(Link_params params)
@@ -180,7 +194,7 @@ dsp::Signal Link_channel::apply(dsp::Signal_view signal, std::uint64_t fading_ep
     if (params_.gain_model == Gain_model::fixed) {
         if (profile != dsp::Math_profile::exact) {
             out.assign(params_.delay + signal.size(), dsp::Sample{0.0, 0.0});
-            accumulate_fixed_fast(signal, out.data() + params_.delay, profile);
+            accumulate_fixed_fast(signal, out.data() + params_.delay);
             return out;
         }
         out.reserve(params_.delay + signal.size());
@@ -212,10 +226,7 @@ void Link_channel::apply_onto(dsp::Signal_view signal, std::size_t at,
     dsp::Sample* out = acc.data() + begin;
     if (params_.gain_model == Gain_model::fixed) {
         if (profile != dsp::Math_profile::exact) {
-            // Fast and simd share the rotor arithmetic; under simd the
-            // drift-free case additionally runs on the lane kernels
-            // (bit-identical — see accumulate_rotor).
-            accumulate_fixed_fast(signal, out, profile);
+            accumulate_fixed_fast(signal, out);
             return;
         }
         for (std::size_t n = 0; n < signal.size(); ++n) {

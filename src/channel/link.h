@@ -89,9 +89,9 @@ public:
     /// Under Math_profile::fast the per-sample std::polar rotation is
     /// replaced by an incremental complex rotor (one sincos per span or
     /// per fading block, then a multiply recurrence); the drift-free case
-    /// degenerates to a constant-rotor multiply-add loop that
-    /// auto-vectorizes.  Rotor drift over a frame is ≲1e-13 relative —
-    /// inside the corridor bounds.
+    /// degenerates to a constant-rotor multiply-add, and both fixed-gain
+    /// cases run on the lane kernels (util/simd.h).  Rotor drift over a
+    /// frame is ≲1e-13 relative — inside the corridor bounds.
     void apply_onto(dsp::Signal_view signal, std::size_t at, dsp::Signal& acc,
                     std::uint64_t fading_epoch = 0,
                     dsp::Math_profile profile = dsp::Math_profile::exact) const;
@@ -112,24 +112,28 @@ private:
     void accumulate_faded(dsp::Signal_view signal, std::uint64_t fading_epoch,
                           dsp::Sample* out, dsp::Math_profile profile) const;
 
-    /// Fixed-gain fast/simd kernel: rotor-recurrence accumulation
-    /// (lane-dispatched under the simd profile — constant-rotor lanes
-    /// when drift-free, cached rotor stream + complex multiply-accumulate
-    /// lanes when drifting).
-    void accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out,
-                               dsp::Math_profile profile) const;
+    /// Fixed-gain fast-profile kernel on the lanes: constant-rotor
+    /// multiply-add when drift-free; checkpointed rotor regeneration +
+    /// complex multiply-accumulate when drifting.
+    void accumulate_fixed_fast(dsp::Signal_view signal, dsp::Sample* out) const;
 
-    /// First `samples` values of the fixed-gain rotor stream
-    /// rotor_n = polar(gain, phase)·step^n, produced by the exact
-    /// recurrence of the historical per-transmission loop and memoised —
-    /// a fixed link's stream never changes, so the serial chain runs once
-    /// per link instead of once per transmission.  The cache makes
-    /// concurrent apply calls on one link racy; media (and their links)
-    /// are owned per sweep task, never shared across threads.
-    const dsp::Sample* rotor_stream(std::size_t samples) const;
+    /// Samples per checkpoint span of a drifting link's rotor stream,
+    /// and spans regenerated together (their recurrences interleave).
+    static constexpr std::size_t rotor_span = 64;
+    static constexpr std::size_t rotor_chains = 4;
+
+    /// rotor_n = polar(gain, phase)·step^n at n = 0, rotor_span,
+    /// 2·rotor_span, ..., covering at least `samples` in whole blocks of
+    /// rotor_chains spans — produced by the serial recurrence of the
+    /// historical per-transmission loop and memoised (a fixed link's
+    /// stream never changes).  16 bytes per span, so a link's cache stays
+    /// ~1/64 of its longest signal.  The cache makes concurrent apply
+    /// calls on one link racy; media (and their links) are owned per
+    /// sweep task, never shared across threads.
+    const dsp::Sample* rotor_checkpoints(std::size_t samples) const;
 
     Link_params params_;
-    mutable std::vector<dsp::Sample> rotor_cache_;
+    mutable std::vector<dsp::Sample> checkpoints_;
 };
 
 } // namespace anc::chan

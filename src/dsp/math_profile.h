@@ -5,38 +5,31 @@
 //   exact — byte-identical to the historical implementation.  Every
 //           golden test, sweep JSON, and figure reproduction runs here
 //           by default; nothing about this profile may drift.
-//   fast  — SIMD-friendly polynomial transcendentals and counter-based
-//           noise.  Outputs differ from `exact` in low-order bits (and
-//           the noise stream is a different, equally-valid realization),
-//           so results are validated *statistically*: the corridor tests
+//   fast  — polynomial transcendentals and counter-based noise.  Batch
+//           call sites (interference decode, AWGN fill, DQPSK polar,
+//           channel mix) run on the runtime-dispatched lane kernels of
+//           util/simd.h; single-sample call sites use the scalar fast
+//           kernels of util/fastmath.h.  The lanes are bit-compatible
+//           with the scalar kernels, so a fast document is byte-identical
+//           on every backend (AVX-512, AVX2, scalar).  Outputs differ
+//           from `exact` in low-order bits (and the noise stream is a
+//           different, equally-valid realization), so results are
+//           validated *statistically*: the corridor tests
 //           (tests/engine/math_profile_corridor_test.cpp) bound the
 //           BER/delivery-rate deviation from `exact`, per the
 //           relaxed-determinism design in PERF.md "Math profiles".
 //
-//   simd  — the explicit AVX2+FMA kernel backend (util/simd.h).  Batch
-//           call sites (interference decode, AWGN fill, DQPSK polar)
-//           route through anc::simd's runtime-dispatched lane kernels;
-//           single-sample call sites use the scalar fast kernels.  The
-//           lane kernels are *bit-compatible* with the scalar fast
-//           kernels (same arithmetic, four lanes at a time), so `simd`
-//           output is byte-identical to `fast` everywhere — on AVX2
-//           hardware, under the ANC_FORCE_SCALAR_SIMD override, and on
-//           machines with no AVX2 at all, where the guaranteed scalar
-//           fallback (the fast kernels themselves) serves.  `simd` is
-//           therefore valid config on every machine and inherits the
-//           fast profile's whole statistical validation.
-//
 // Call sites branch on the profile (`profile == Math_profile::exact`)
-// with the exact expression kept verbatim in the exact arm; non-exact
-// profiles share the fast scalar kernels unless a batch call site
-// dispatches `simd` to the lane kernels.
+// with the exact expression kept verbatim in the exact arm.
 
 #pragma once
 
+#include <algorithm>
 #include <complex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/fastmath.h"
 
@@ -44,8 +37,7 @@ namespace anc::dsp {
 
 enum class Math_profile {
     exact, ///< libm + sequential Box–Muller; the determinism contract
-    fast,  ///< fastmath kernels + counter-based noise; corridor-validated
-    simd,  ///< AVX2+FMA lane kernels, runtime-dispatched; ≡ fast bitwise
+    fast,  ///< fastmath + lane kernels, counter-based noise; corridor-validated
 };
 
 inline const char* to_string(Math_profile profile)
@@ -53,22 +45,40 @@ inline const char* to_string(Math_profile profile)
     switch (profile) {
     case Math_profile::exact: return "exact";
     case Math_profile::fast: return "fast";
-    case Math_profile::simd: return "simd";
     }
     return "exact";
 }
 
-/// Parse "exact" / "fast" / "simd"; throws std::invalid_argument otherwise.
+/// Parse "exact" / "fast"; throws std::invalid_argument otherwise.
 inline Math_profile math_profile_from_string(std::string_view name)
 {
     if (name == "exact")
         return Math_profile::exact;
     if (name == "fast")
         return Math_profile::fast;
-    if (name == "simd")
-        return Math_profile::simd;
-    throw std::invalid_argument{"math_profile_from_string: unknown profile '"
-                                + std::string{name} + "'"};
+    throw std::invalid_argument{"unknown math profile '" + std::string{name}
+                                + "' (want exact or fast)"};
+}
+
+/// Parse a profile list: a comma list of profile names, or "both"
+/// (exact,fast).  The one parser behind anc_sweep's --math-profile and
+/// the bench drivers' ANC_MATH_PROFILE.  Throws std::invalid_argument on
+/// an unknown name or an empty list.
+inline std::vector<Math_profile> math_profiles_from_string(std::string_view text)
+{
+    if (text == "both")
+        return {Math_profile::exact, Math_profile::fast};
+    std::vector<Math_profile> profiles;
+    std::size_t pos = 0;
+    while (pos <= text.size()) {
+        const std::size_t comma = std::min(text.find(',', pos), text.size());
+        if (comma > pos)
+            profiles.push_back(math_profile_from_string(text.substr(pos, comma - pos)));
+        pos = comma + 1;
+    }
+    if (profiles.empty())
+        throw std::invalid_argument{"empty math profile list"};
+    return profiles;
 }
 
 /// Profile-dispatched atan2.

@@ -17,6 +17,14 @@ void require_non_empty(bool non_empty, const char* axis)
                                     + "'"};
 }
 
+void require_positive(const std::vector<std::size_t>& values, const char* axis)
+{
+    if (std::find(values.begin(), values.end(), std::size_t{0}) != values.end())
+        throw std::invalid_argument{std::string{"Sweep_grid: axis '"} + axis
+                                    + "' contains 0 (a run with nothing to "
+                                      "send measures nothing)"};
+}
+
 /// The schemes this scenario contributes to the grid, in the scenario's
 /// canonical order.
 std::vector<std::string> schemes_for(const Scenario& scenario, const Sweep_grid& grid)
@@ -80,6 +88,8 @@ std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& 
     require_non_empty(!grid.mean_link_gains.empty(), "mean_link_gains");
     require_non_empty(!grid.math_profiles.empty(), "math_profiles");
     require_non_empty(grid.repetitions > 0, "repetitions");
+    require_positive(grid.payload_bits, "payload_bits");
+    require_positive(grid.exchanges, "exchanges");
 
     // Every requested scheme must be meaningful somewhere in the grid.
     std::set<std::string> unmatched{grid.schemes.begin(), grid.schemes.end()};

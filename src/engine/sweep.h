@@ -38,10 +38,10 @@ struct Sweep_grid {
     /// coherence block, and the multiplier on every topology link gain.
     std::vector<std::size_t> coherence_blocks = {4096};
     std::vector<double> mean_link_gains = {1.0};
-    /// Math profiles to run (dsp/math_profile.h): any of exact, fast,
-    /// simd.  Like the scheme axis, this axis is *seed-collapsed*: tasks
-    /// differing only in profile share a seed_index, so relaxed-profile
-    /// and `exact` points see identical channel realizations and the
+    /// Math profiles to run (dsp/math_profile.h): exact, fast, or both.
+    /// Like the scheme axis, this axis is *seed-collapsed*: tasks
+    /// differing only in profile share a seed_index, so `fast` and
+    /// `exact` points see identical channel realizations and the
     /// corridor comparison is paired.
     std::vector<dsp::Math_profile> math_profiles = {dsp::Math_profile::exact};
     /// Independent runs per grid point (the paper repeats 40x).
@@ -64,8 +64,10 @@ struct Sweep_task {
 /// snr_db > alice_amplitude > bob_amplitude > payload_bits > exchanges >
 /// detector_threshold_db > interleave_rows > coherence_block >
 /// mean_link_gain > repetition.  Throws std::invalid_argument on an
-/// empty axis, an unknown scenario, or a requested scheme no scenario
-/// supports.
+/// empty axis, a zero on the payload_bits or exchanges axis (a run with
+/// nothing to send measures nothing, yet would report "0/0" or "N/N
+/// delivered" as an ok row), an unknown scenario, or a requested scheme
+/// no scenario supports.
 std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& registry);
 
 /// Expansion against the builtin registry.

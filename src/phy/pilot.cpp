@@ -122,11 +122,10 @@ void scan_starts(const std::uint64_t* words,
                  std::size_t max_errors,
                  std::uint64_t& best_key)
 {
-    if (simd::kernels_active()) {
-        simd::detail::pilot_scan_starts_popcnt(words, pattern.shifted(0),
-                                               pattern.mask(0),
-                                               pattern.stride(), from, to,
-                                               max_errors, &best_key);
+    if (const simd::detail::Lane_kernels* lanes = simd::detail::active_lanes()) {
+        lanes->pilot_scan_starts(words, pattern.shifted(0), pattern.mask(0),
+                                 pattern.stride(), from, to, max_errors,
+                                 &best_key);
         return;
     }
     const std::size_t stride = pattern.stride();
@@ -163,10 +162,9 @@ void scan_words_striped(const std::uint64_t* words,
                         std::size_t max_errors,
                         std::uint64_t& best_key)
 {
-    if (simd::kernels_active()) {
-        simd::detail::pilot_scan_striped_popcnt(words, pattern.shifted(0),
-                                                pattern.mask(0), w_lo, w_hi,
-                                                max_errors, &best_key);
+    if (const simd::detail::Lane_kernels* lanes = simd::detail::active_lanes()) {
+        lanes->pilot_scan_striped(words, pattern.shifted(0), pattern.mask(0), w_lo,
+                                  w_hi, max_errors, &best_key);
         return;
     }
     for (std::size_t s = 0; s < 64; ++s) {

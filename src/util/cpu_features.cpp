@@ -2,11 +2,11 @@
 
 #include <cstdint>
 
-// Guarded on __x86_64__ exactly like the kernel TU (simd_kernels.cpp):
-// cpu_features() answers "can THIS BINARY use the AVX2 backend", not
-// "does the silicon have it" — a 32-bit x86 build has only the stub
-// kernels, so reporting the CPU's AVX2 flag there would dispatch into
-// them.  Everything else (non-x86, i386) reports no features and the
+// Guarded on __x86_64__ exactly like the lane objects (simd_lanes.cpp,
+// built only for x86-64): cpu_features() answers "can THIS BINARY use
+// the AVX2 backend", not "does the silicon have it" — a 32-bit x86 build
+// has no lane kernels, so reporting the CPU's AVX2 flag there would
+// dispatch into nothing.  Everything else (non-x86, i386) reports no features and the
 // scalar fallback serves.
 #if defined(__x86_64__)
 #include <cpuid.h>

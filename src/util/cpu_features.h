@@ -1,10 +1,9 @@
-// Runtime CPU feature detection for the SIMD math-profile backend.
+// Runtime CPU feature detection for the lane-kernel backend (util/simd.h).
 //
-// The `simd` profile (dsp/math_profile.h) is valid configuration on
-// every machine: it *requests* the explicit AVX2+FMA kernels and merely
-// resolves, once per run, to the best implementation the hardware
-// offers.  That resolution needs a trustworthy answer to "can this
-// process run 256-bit AVX2 math?", which is what this header provides —
+// The fast profile (dsp/math_profile.h) runs on every machine: its batch
+// call sites resolve, once per run, to the best lane kernels the
+// hardware offers.  That resolution needs a trustworthy answer to "can
+// this process run 256-bit AVX2 math?", which is what this header provides —
 // a CPUID probe cached for the lifetime of the process.  The answer is
 // about the *process*, not just the silicon: it also requires the OS to
 // save YMM state and the binary to be one that carries the AVX2 kernels

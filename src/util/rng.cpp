@@ -25,20 +25,14 @@ Counter_normal::Counter_normal(std::uint64_t seed, std::uint64_t stream)
 void Counter_normal::fill_simd(std::uint64_t first_counter, double* out,
                                std::size_t count) const
 {
-    // Full 8-pair (16-normal, avx512) or 4-pair (8-normal, avx2) blocks
-    // go to the lane kernels; the remainder — and the whole span when
-    // the backend resolved to scalar — goes to fill(), which is
-    // element-wise identical (draws are pure in (key, counter), so the
-    // seam carries no state).
+    // Whole lane steps (2·width normals each) go to the lane kernels;
+    // the remainder — and the whole span when the backend resolved to
+    // scalar — goes to fill(), which is element-wise identical (draws
+    // are pure in (key, counter), so the seam carries no state).
     std::size_t head = 0;
-    if (simd::active_backend() == simd::Backend::avx512) {
-        head = count & ~std::size_t{15};
-        simd::detail::counter_normal_fill_avx512(key_a_, key_b_, first_counter,
-                                                 out, head);
-    } else if (simd::kernels_active()) {
-        head = count & ~std::size_t{7};
-        simd::detail::counter_normal_fill_avx2(key_a_, key_b_, first_counter, out,
-                                               head);
+    if (const simd::detail::Lane_kernels* lanes = simd::detail::active_lanes()) {
+        head = count & ~(2 * lanes->width - 1);
+        lanes->counter_normal_fill(key_a_, key_b_, first_counter, out, head);
     }
     fill(first_counter + head / 2, out + head, count - head);
 }
@@ -47,15 +41,10 @@ void Counter_normal::add_scaled_simd(std::uint64_t first_counter, double scale,
                                      double* inout, std::size_t count) const
 {
     std::size_t head = 0;
-    if (simd::active_backend() == simd::Backend::avx512) {
-        head = count & ~std::size_t{15};
-        simd::detail::counter_normal_add_scaled_avx512(key_a_, key_b_,
-                                                       first_counter, scale,
-                                                       inout, head);
-    } else if (simd::kernels_active()) {
-        head = count & ~std::size_t{7};
-        simd::detail::counter_normal_add_scaled_avx2(key_a_, key_b_, first_counter,
-                                                     scale, inout, head);
+    if (const simd::detail::Lane_kernels* lanes = simd::detail::active_lanes()) {
+        head = count & ~(2 * lanes->width - 1);
+        lanes->counter_normal_add_scaled(key_a_, key_b_, first_counter, scale,
+                                         inout, head);
     }
     add_scaled(first_counter + head / 2, scale, inout + head, count - head);
 }

@@ -83,17 +83,17 @@ public:
     void add_scaled(std::uint64_t first_counter, double scale, double* inout,
                     std::size_t count) const;
 
-    /// fill(), routed through the simd backend (util/simd.h): the AVX2
-    /// lanes hash/Box–Muller 4 counter pairs per step when the backend
-    /// is active, and fall back to the scalar fill otherwise.  Either
-    /// way the output is bit-identical to fill() at the same counters —
-    /// the backend's bit-compatibility contract, pinned by
-    /// tests/util/counter_normal_test.cpp.
+    /// fill(), routed through the lane backend (util/simd.h): the lanes
+    /// hash/Box–Muller 4 (avx2) or 8 (avx512) counter pairs per step when
+    /// a lane backend is active, and fall back to the scalar fill
+    /// otherwise.  Either way the output is bit-identical to fill() at
+    /// the same counters — the backend's bit-compatibility contract,
+    /// pinned by tests/util/counter_normal_test.cpp.
     void fill_simd(std::uint64_t first_counter, double* out,
                    std::size_t count) const;
 
-    /// add_scaled(), routed through the simd backend; bit-identical to
-    /// add_scaled() at the same counters.
+    /// add_scaled(), routed through the lane backend; bit-identical to
+    /// add_scaled() at the same counters.  The fast-profile AWGN fill.
     void add_scaled_simd(std::uint64_t first_counter, double scale, double* inout,
                          std::size_t count) const;
 

@@ -9,16 +9,13 @@
 #include "util/cpu_features.h"
 #include "util/fastmath.h"
 
-// Dispatchers and the scalar fallback implementations.  This TU is
+// Dispatchers and the scalar reference implementations.  This TU is
 // compiled at the baseline architecture, so every function here runs on
-// any x86-64 (or non-x86) machine; the AVX2 entry points in
-// simd_kernels.cpp are only ever reached through the active_backend()
-// checks below.
+// any x86-64 (or non-x86) machine; the lane kernel tables of
+// simd_lanes.cpp are only ever reached through active_lanes().
 //
-// The scalar fallbacks ARE the existing fast kernels, looped — that is
-// the "guaranteed scalar fallback" of the dispatch contract, and it is
-// what makes Math_profile::simd bit-identical to Math_profile::fast by
-// construction (see util/simd.h).
+// The scalar references ARE the fast kernels, looped — the guaranteed
+// fallback of the dispatch contract, and the tail of every lane call.
 
 namespace anc::simd {
 
@@ -221,7 +218,7 @@ bool force_avx2_from_env() { return env_flag("ANC_FORCE_AVX2_SIMD"); }
 Backend active_backend()
 {
     // Decided once per run: CPUID does not change under a process, and a
-    // stable decision is what makes the simd profile's determinism
+    // stable decision is what makes the fast profile's determinism
     // arguments ("bit-identical at any thread count") trivially hold.
     static const Backend backend = resolve_backend(
         cpu_features().avx2, cpu_features().fma, cpu_features().avx512f,
@@ -229,29 +226,52 @@ Backend active_backend()
     return backend;
 }
 
+#if defined(__x86_64__)
+// The two objects built from simd_lanes.cpp (x86-64 only, matching the
+// CMake guard); each defines one of these.
+namespace detail {
+extern const Lane_kernels avx2_kernels;
+extern const Lane_kernels avx512_kernels;
+} // namespace detail
+#endif
+
+const detail::Lane_kernels* detail::lane_kernels(Backend backend)
+{
+#if defined(__x86_64__)
+    switch (backend) {
+    case Backend::avx512: return &avx512_kernels;
+    case Backend::avx2: return &avx2_kernels;
+    case Backend::scalar: break;
+    }
+#else
+    (void)backend;
+#endif
+    return nullptr;
+}
+
+const detail::Lane_kernels* detail::active_lanes()
+{
+    static const Lane_kernels* const lanes = lane_kernels(active_backend());
+    return lanes;
+}
+
 bool kernels_active()
 {
-    return active_backend() != Backend::scalar;
+    return detail::active_lanes() != nullptr;
 }
 
 // ---------------------------------------------------------- dispatchers
-// Full 8-wide (avx512) or 4-wide (avx2) blocks go to the lane TUs;
-// tails (and the scalar backend) go to the fallback.  All tiers are
-// element-wise identical, so the split point is invisible in the
-// output.
+// Full lane blocks go to the active kernel table; tails (and the scalar
+// backend) go to the scalar reference.  All tiers are element-wise
+// identical, so the split point is invisible in the output.
 
 namespace {
 
-/// The widest full block the active backend can take: 8-wide for
-/// avx512, 4-wide for avx2, none for scalar.
+/// The part of n the active lanes take: whole vectors, none for scalar.
 inline std::size_t lane_head(std::size_t n)
 {
-    switch (active_backend()) {
-    case Backend::avx512: return n & ~std::size_t{7};
-    case Backend::avx2: return n & ~std::size_t{3};
-    case Backend::scalar: break;
-    }
-    return 0;
+    const detail::Lane_kernels* lanes = detail::active_lanes();
+    return lanes == nullptr ? 0 : n & ~(lanes->width - 1);
 }
 
 } // namespace
@@ -259,12 +279,8 @@ inline std::size_t lane_head(std::size_t n)
 void atan2_batch(const double* y, const double* x, double* out, std::size_t n)
 {
     const std::size_t head = lane_head(n);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::atan2_batch_avx512(y, x, out, head);
-        else
-            detail::atan2_batch_avx2(y, x, out, head);
-    }
+    if (head != 0)
+        detail::active_lanes()->atan2(y, x, out, head);
     detail::atan2_batch_scalar(y + head, x + head, out + head, n - head);
 }
 
@@ -272,12 +288,8 @@ void sincos_batch(const double* angles, double* sin_out, double* cos_out,
                   std::size_t n)
 {
     const std::size_t head = lane_head(n);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::sincos_batch_avx512(angles, sin_out, cos_out, head);
-        else
-            detail::sincos_batch_avx2(angles, sin_out, cos_out, head);
-    }
+    if (head != 0)
+        detail::active_lanes()->sincos(angles, sin_out, cos_out, head);
     detail::sincos_batch_scalar(angles + head, sin_out + head, cos_out + head,
                                 n - head);
 }
@@ -285,12 +297,8 @@ void sincos_batch(const double* angles, double* sin_out, double* cos_out,
 void log_batch(const double* x, double* out, std::size_t n)
 {
     const std::size_t head = lane_head(n);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::log_batch_avx512(x, out, head);
-        else
-            detail::log_batch_avx2(x, out, head);
-    }
+    if (head != 0)
+        detail::active_lanes()->log(x, out, head);
     detail::log_batch_scalar(x + head, out + head, n - head);
 }
 
@@ -298,12 +306,8 @@ void polar_batch(const double* angles, double magnitude, double* interleaved_out
                  std::size_t n)
 {
     const std::size_t head = lane_head(n);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::polar_batch_avx512(angles, magnitude, interleaved_out, head);
-        else
-            detail::polar_batch_avx2(angles, magnitude, interleaved_out, head);
-    }
+    if (head != 0)
+        detail::active_lanes()->polar(angles, magnitude, interleaved_out, head);
     detail::polar_batch_scalar(angles + head, magnitude,
                                interleaved_out + 2 * head, n - head);
 }
@@ -313,16 +317,10 @@ void anc_candidates_batch(const double* interleaved_samples, std::size_t count,
                           double* theta_minus, double* phi_minus, double* phi_plus)
 {
     const std::size_t head = lane_head(count);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::anc_candidates_batch_avx512(interleaved_samples, head, a, b,
-                                                theta_plus, theta_minus,
-                                                phi_minus, phi_plus);
-        else
-            detail::anc_candidates_batch_avx2(interleaved_samples, head, a, b,
-                                              theta_plus, theta_minus, phi_minus,
-                                              phi_plus);
-    }
+    if (head != 0)
+        detail::active_lanes()->anc_candidates(interleaved_samples, head, a, b,
+                                               theta_plus, theta_minus, phi_minus,
+                                               phi_plus);
     detail::anc_candidates_batch_scalar(interleaved_samples + 2 * head,
                                         count - head, a, b, theta_plus + head,
                                         theta_minus + head, phi_minus + head,
@@ -335,16 +333,10 @@ void anc_select_batch(const double* theta_plus, const double* theta_minus,
                       double* phi_out, double* error_out)
 {
     const std::size_t head = lane_head(transitions);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::anc_select_batch_avx512(theta_plus, theta_minus, phi_minus,
-                                            phi_plus, known_diffs, head, phi_out,
-                                            error_out);
-        else
-            detail::anc_select_batch_avx2(theta_plus, theta_minus, phi_minus,
-                                          phi_plus, known_diffs, head, phi_out,
-                                          error_out);
-    }
+    if (head != 0)
+        detail::active_lanes()->anc_select(theta_plus, theta_minus, phi_minus,
+                                           phi_plus, known_diffs, head, phi_out,
+                                           error_out);
     detail::anc_select_batch_scalar(theta_plus + head, theta_minus + head,
                                     phi_minus + head, phi_plus + head,
                                     known_diffs + head, transitions - head,
@@ -355,12 +347,8 @@ void diff_arg_batch(const double* interleaved_samples, std::size_t transitions,
                     double* out)
 {
     const std::size_t head = lane_head(transitions);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::diff_arg_batch_avx512(interleaved_samples, head, out);
-        else
-            detail::diff_arg_batch_avx2(interleaved_samples, head, out);
-    }
+    if (head != 0)
+        detail::active_lanes()->diff_arg(interleaved_samples, head, out);
     detail::diff_arg_batch_scalar(interleaved_samples + 2 * head,
                                   transitions - head, out + head);
 }
@@ -369,14 +357,9 @@ void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
                       std::size_t samples, double rotor_re, double rotor_im)
 {
     const std::size_t head = lane_head(samples);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::rotor_accumulate_avx512(interleaved_in, interleaved_acc, head,
-                                            rotor_re, rotor_im);
-        else
-            detail::rotor_accumulate_avx2(interleaved_in, interleaved_acc, head,
-                                          rotor_re, rotor_im);
-    }
+    if (head != 0)
+        detail::active_lanes()->rotor_accumulate(interleaved_in, interleaved_acc,
+                                                 head, rotor_re, rotor_im);
     detail::rotor_accumulate_scalar(interleaved_in + 2 * head,
                                     interleaved_acc + 2 * head, samples - head,
                                     rotor_re, rotor_im);
@@ -386,14 +369,9 @@ void cmul_accumulate(const double* interleaved_in, const double* interleaved_rot
                      double* interleaved_acc, std::size_t samples)
 {
     const std::size_t head = lane_head(samples);
-    if (head != 0) {
-        if (active_backend() == Backend::avx512)
-            detail::cmul_accumulate_avx512(interleaved_in, interleaved_rotors,
-                                           interleaved_acc, head);
-        else
-            detail::cmul_accumulate_avx2(interleaved_in, interleaved_rotors,
-                                         interleaved_acc, head);
-    }
+    if (head != 0)
+        detail::active_lanes()->cmul_accumulate(interleaved_in, interleaved_rotors,
+                                                interleaved_acc, head);
     detail::cmul_accumulate_scalar(interleaved_in + 2 * head,
                                    interleaved_rotors + 2 * head,
                                    interleaved_acc + 2 * head, samples - head);

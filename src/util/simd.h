@@ -1,20 +1,19 @@
-// The explicit SIMD kernel backend behind dsp::Math_profile::simd.
+// The lane-kernel backend of the fast math profile (dsp/math_profile.h).
 //
 // Design contract — *bit-compatibility with the scalar fast kernels*:
 // every batch kernel here computes, per element, exactly the arithmetic
 // of its scalar counterpart in util/fastmath.h / util/rng.h (same
 // operations, same order, no FMA contraction in the value chains), just
-// four lanes at a time.  IEEE-754 arithmetic is deterministic, so the
-// AVX2 lanes, the scalar fallback, and the plain `fast` profile all
-// produce byte-identical values.  That one invariant buys the whole
-// validation story:
+// several lanes at a time.  IEEE-754 arithmetic is deterministic, so the
+// AVX-512 lanes, the AVX2 lanes and the scalar fallback produce
+// byte-identical values.  That one invariant buys the whole validation
+// story:
 //
-//   * `simd` inherits every statistical corridor already proven for
-//     `fast` (the emitted metrics are bit-identical, only the tag and
-//     the throughput differ);
-//   * dispatch is *safe to decide per run*: a run on an AVX2 box, a run
-//     under ANC_FORCE_SCALAR_SIMD=1, and a run on a machine without
-//     AVX2 emit byte-identical documents;
+//   * the fast profile's statistical corridors hold on every backend;
+//   * dispatch is *safe to decide per run*: a run on an AVX-512 box,
+//     under ANC_FORCE_AVX2_SIMD=1, under ANC_FORCE_SCALAR_SIMD=1, and on
+//     a machine without AVX2 emit byte-identical documents (the
+//     integration.dispatch_invariance ctest diffs the three);
 //   * the lane-vs-scalar tests (tests/util/simd_kernels_test.cpp) can
 //     assert exact equality — the strongest possible ULP bound (0).
 //
@@ -25,19 +24,17 @@
 // ANC_FORCE_AVX2_SIMD (same rule; caps the backend at avx2 on AVX-512
 // hardware).  The overrides keep every tier continuously tested on the
 // widest hardware, in CI and locally; force-scalar wins when both are
-// set.  The batch entry points below branch on the decision internally;
-// `Math_profile::simd` is therefore valid configuration everywhere and
-// merely resolves to the best implementation available.
+// set.  The batch entry points below run the full lane blocks through
+// the active backend's kernel table and the tail through the scalar
+// reference.
 //
-// The AVX2 implementations live in src/util/simd_kernels.cpp, the only
-// translation unit compiled with -mavx2 -mfma (and -ffp-contract=off,
-// so the compiler cannot fuse the mul/add chains the bit-compatibility
-// contract pins down).  The AVX-512 implementations live in
-// src/util/simd_kernels_avx512.cpp under the same one-TU rule
-// (-mavx512f -ffp-contract=off) and transcribe the AVX2 lanes operation
-// for operation at twice the width, so all three tiers stay 0-ULP
-// identical.  Nothing in either TU is reachable without passing through
-// the dispatchers in simd.cpp.
+// The lanes are written once, in src/util/simd_lanes.cpp, and compiled
+// twice: with -mavx2 -mfma (4 doubles per vector) and with -mavx512f (8
+// doubles), both with -ffp-contract=off so the compiler cannot fuse the
+// mul/add chains the bit-compatibility contract pins down.  The two
+// objects are the only code built above the baseline ISA; each exports
+// one kernel table (detail::Lane_kernels) and nothing else, and nothing
+// in them is reachable except through the dispatch in simd.cpp.
 
 #pragma once
 
@@ -148,8 +145,8 @@ void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
                       std::size_t samples, double rotor_re, double rotor_im);
 
 /// The drifting-channel accumulate over a precomputed rotor stream
-/// (Link_channel caches rotor_n = rotor_0·step^n per fixed-gain link, so
-/// the serial recurrence runs once per link instead of per transmission):
+/// (Link_channel regenerates rotor_n = rotor_0·step^n from per-link
+/// checkpoints, several spans at a time, instead of one serial chain):
 ///   acc[2i]   += in[2i]·rot[2i] − in[2i+1]·rot[2i+1]
 ///   acc[2i+1] += in[2i]·rot[2i+1] + in[2i+1]·rot[2i]
 /// i.e. element-wise complex multiply-accumulate, bit-identical across
@@ -159,14 +156,9 @@ void cmul_accumulate(const double* interleaved_in, const double* interleaved_rot
 
 namespace detail {
 
-// Per-backend entry points, exposed so the tests can compare the
-// implementations directly on the same machine.  The *_avx2 functions
-// live in the -mavx2 -mfma translation unit and must only be called
-// when cpu_features() reports avx2 && fma; the *_avx512 functions live
-// in the -mavx512f translation unit and must only be called when
-// cpu_features() reports avx512f too.  Each additionally requires the
-// stated block alignment of n (the dispatchers feed tails to the
-// scalar path).
+// The scalar references: the fast kernels, looped.  They serve the
+// scalar backend and every lane tail, and the 0-ULP tests compare each
+// lane kernel against them.
 
 void atan2_batch_scalar(const double* y, const double* x, double* out,
                         std::size_t n);
@@ -192,98 +184,71 @@ void cmul_accumulate_scalar(const double* interleaved_in,
                             const double* interleaved_rotors,
                             double* interleaved_acc, std::size_t samples);
 
-// n % 4 == 0 for all of these.
-void atan2_batch_avx2(const double* y, const double* x, double* out, std::size_t n);
-void sincos_batch_avx2(const double* angles, double* sin_out, double* cos_out,
-                       std::size_t n);
-void log_batch_avx2(const double* x, double* out, std::size_t n);
-void polar_batch_avx2(const double* angles, double magnitude,
-                      double* interleaved_out, std::size_t n);
-void anc_candidates_batch_avx2(const double* interleaved_samples, std::size_t count,
-                               double a, double b, double* theta_plus,
-                               double* theta_minus, double* phi_minus,
-                               double* phi_plus);
-void anc_select_batch_avx2(const double* theta_plus, const double* theta_minus,
-                           const double* phi_minus, const double* phi_plus,
-                           const double* known_diffs, std::size_t transitions,
-                           double* phi_out, double* error_out);
-void diff_arg_batch_avx2(const double* interleaved_samples, std::size_t transitions,
-                         double* out);
-
-/// Counter_normal's batched Box–Muller: 4 counter pairs (8 normals) per
-/// step, bit-identical to Counter_normal::fill at the same counters.
-/// count % 8 == 0; the dispatcher (util/rng.cpp) handles tails.
-void counter_normal_fill_avx2(std::uint64_t key_a, std::uint64_t key_b,
-                              std::uint64_t first_counter, double* out,
-                              std::size_t count);
-/// Fused inout[i] += scale·z_i over the same z stream; count % 8 == 0.
-void counter_normal_add_scaled_avx2(std::uint64_t key_a, std::uint64_t key_b,
-                                    std::uint64_t first_counter, double scale,
-                                    double* inout, std::size_t count);
-/// samples % 2 == 0 (2 interleaved complex per 256-bit vector).
-void rotor_accumulate_avx2(const double* interleaved_in, double* interleaved_acc,
-                           std::size_t samples, double rotor_re, double rotor_im);
-/// samples % 2 == 0.
-void cmul_accumulate_avx2(const double* interleaved_in,
-                          const double* interleaved_rotors,
-                          double* interleaved_acc, std::size_t samples);
-
-// n % 8 == 0 for all of these (8 doubles per 512-bit vector).
-void atan2_batch_avx512(const double* y, const double* x, double* out,
-                        std::size_t n);
-void sincos_batch_avx512(const double* angles, double* sin_out, double* cos_out,
-                         std::size_t n);
-void log_batch_avx512(const double* x, double* out, std::size_t n);
-void polar_batch_avx512(const double* angles, double magnitude,
-                        double* interleaved_out, std::size_t n);
-void anc_candidates_batch_avx512(const double* interleaved_samples,
-                                 std::size_t count, double a, double b,
-                                 double* theta_plus, double* theta_minus,
-                                 double* phi_minus, double* phi_plus);
-void anc_select_batch_avx512(const double* theta_plus, const double* theta_minus,
-                             const double* phi_minus, const double* phi_plus,
-                             const double* known_diffs, std::size_t transitions,
-                             double* phi_out, double* error_out);
-void diff_arg_batch_avx512(const double* interleaved_samples,
-                           std::size_t transitions, double* out);
-
-/// 8 counter pairs (16 normals) per step, same z stream as the scalar
-/// generator.  count % 16 == 0; the dispatcher handles tails.
-void counter_normal_fill_avx512(std::uint64_t key_a, std::uint64_t key_b,
-                                std::uint64_t first_counter, double* out,
-                                std::size_t count);
-/// Fused inout[i] += scale·z_i over the same z stream; count % 16 == 0.
-void counter_normal_add_scaled_avx512(std::uint64_t key_a, std::uint64_t key_b,
-                                      std::uint64_t first_counter, double scale,
-                                      double* inout, std::size_t count);
-/// samples % 4 == 0 (4 interleaved complex per 512-bit vector).
-void rotor_accumulate_avx512(const double* interleaved_in,
-                             double* interleaved_acc, std::size_t samples,
-                             double rotor_re, double rotor_im);
-/// samples % 4 == 0.
-void cmul_accumulate_avx512(const double* interleaved_in,
+/// One lane backend: the kernels of util/simd_lanes.cpp as compiled at
+/// one vector width.  Each entry has the signature of the public kernel
+/// of the same name above and requires a block-aligned size — n (or
+/// samples) % width == 0, count % (2·width) == 0 for the Counter_normal
+/// pair, none for the pilot scans.  The dispatchers split every call
+/// into a lane head and a scalar tail.
+struct Lane_kernels {
+    std::size_t width; ///< doubles per lane vector: 4 (avx2) or 8 (avx512)
+    void (*atan2)(const double* y, const double* x, double* out, std::size_t n);
+    void (*sincos)(const double* angles, double* sin_out, double* cos_out,
+                   std::size_t n);
+    void (*log)(const double* x, double* out, std::size_t n);
+    void (*polar)(const double* angles, double magnitude, double* interleaved_out,
+                  std::size_t n);
+    void (*anc_candidates)(const double* interleaved_samples, std::size_t count,
+                           double a, double b, double* theta_plus,
+                           double* theta_minus, double* phi_minus,
+                           double* phi_plus);
+    void (*anc_select)(const double* theta_plus, const double* theta_minus,
+                       const double* phi_minus, const double* phi_plus,
+                       const double* known_diffs, std::size_t transitions,
+                       double* phi_out, double* error_out);
+    void (*diff_arg)(const double* interleaved_samples, std::size_t transitions,
+                     double* out);
+    void (*rotor_accumulate)(const double* interleaved_in, double* interleaved_acc,
+                             std::size_t samples, double rotor_re,
+                             double rotor_im);
+    void (*cmul_accumulate)(const double* interleaved_in,
                             const double* interleaved_rotors,
                             double* interleaved_acc, std::size_t samples);
-
-// Bit-domain pilot-scan kernels (phy/pilot.cpp).  Integer-exact u64
-// XOR + popcount loops that live in the AVX2 TU solely for the hardware
-// popcnt instruction (baseline x86-64 predates POPCNT and compiles
-// std::popcount to a libgcc call).  Guard calls with kernels_active():
-// every AVX2-capable CPU has POPCNT.  Results are bit-identical to the
-// scalar fallbacks — dispatch here is a pure speed decision.
-// best_key accumulates min((errors << 48) | start); see pilot.cpp.
-void pilot_scan_starts_popcnt(const std::uint64_t* words,
+    /// Counter_normal::fill / add_scaled at counters first_counter + i,
+    /// bit-identical to the scalar generator (util/rng.cpp dispatches).
+    void (*counter_normal_fill)(std::uint64_t key_a, std::uint64_t key_b,
+                                std::uint64_t first_counter, double* out,
+                                std::size_t count);
+    void (*counter_normal_add_scaled)(std::uint64_t key_a, std::uint64_t key_b,
+                                      std::uint64_t first_counter, double scale,
+                                      double* inout, std::size_t count);
+    /// Bit-domain pilot scans (phy/pilot.cpp): integer-exact XOR +
+    /// popcount loops, in the lane objects only for the hardware popcnt
+    /// instruction (baseline x86-64 predates POPCNT and compiles
+    /// std::popcount to a libgcc call).  best_key accumulates
+    /// min((errors << 48) | start); see pilot.cpp.
+    void (*pilot_scan_starts)(const std::uint64_t* words,
                               const std::uint64_t* shifted,
                               const std::uint64_t* masks, std::size_t stride,
                               std::size_t from, std::size_t to,
                               std::size_t max_errors, std::uint64_t* best_key);
-/// Stride-2 stripe-major variant over word-aligned starts
-/// [64*w_lo, 64*w_hi + 63]; shifted/masks are the 64x2 tables.
-void pilot_scan_striped_popcnt(const std::uint64_t* words,
+    /// Stride-2 stripe-major variant over word-aligned starts
+    /// [64*w_lo, 64*w_hi + 63]; shifted/masks are the 64x2 tables.
+    void (*pilot_scan_striped)(const std::uint64_t* words,
                                const std::uint64_t* shifted,
                                const std::uint64_t* masks, std::size_t w_lo,
                                std::size_t w_hi, std::size_t max_errors,
                                std::uint64_t* best_key);
+};
+
+/// The lane kernels of `backend`; nullptr for Backend::scalar and for a
+/// backend this build has no lane object for (non-x86-64).  Calling
+/// through a table the CPU cannot run is undefined — the tests check
+/// cpu_features() first.
+const Lane_kernels* lane_kernels(Backend backend);
+
+/// lane_kernels(active_backend()): nullptr when the scalar code serves.
+const Lane_kernels* active_lanes();
 
 } // namespace detail
 

@@ -132,6 +132,16 @@ TEST(SweepGrid, EmptyAxesThrow)
     grid.snr_db = {25.0};
     grid.repetitions = 0;
     EXPECT_THROW(expand(grid), std::invalid_argument);
+
+    // A zero on the payload or exchanges axis is vacuous, not empty, but
+    // is refused the same way: it would yield "ok" rows that measured
+    // nothing.
+    grid.repetitions = 1;
+    grid.exchanges = {4, 0};
+    EXPECT_THROW(expand(grid), std::invalid_argument);
+    grid.exchanges = {4};
+    grid.payload_bits = {0};
+    EXPECT_THROW(expand(grid), std::invalid_argument);
 }
 
 } // namespace

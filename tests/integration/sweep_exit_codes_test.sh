@@ -41,6 +41,17 @@ echo "== exit 2: usage errors"
 [ "$(rc "$SWEEP" $GRID --snr 30:10:2)" = 2 ]          # inverted range
 # shellcheck disable=SC2086
 [ "$(rc "$SWEEP" $GRID --merge a.anj --journal b.anj)" = 2 ]  # merge conflicts
+# Vacuous grids: nothing to send would still report ok rows.
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --exchanges 0)" = 2 ]
+grep -q "^error: .*exchanges" stderr.log
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --payload-bits 0)" = 2 ]
+grep -q "^error: .*payload_bits" stderr.log
+# The retired simd profile is refused, naming its replacement.
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --math-profile simd)" = 2 ]
+grep -q "^error: .*simd.*fast" stderr.log
 
 echo "== exit 2: incompatible resume journal (different seed)"
 # shellcheck disable=SC2086

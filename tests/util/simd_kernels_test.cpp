@@ -11,17 +11,18 @@
 //      assert with exact == comparisons (through bit patterns, so
 //      -0.0 vs +0.0 discrepancies cannot hide).
 //
-// The *_avx2 vs *_scalar comparisons run only on hardware where CPUID
-// reports AVX2+FMA, and the *_avx512 comparisons only where it also
-// reports AVX-512F (anywhere else the narrower backend is active and
-// there is nothing to compare); the public batch API is additionally
-// compared against direct fast-kernel loops on every machine, covering
-// the dispatcher's block/tail seam at awkward lengths.
+// The avx2 table vs scalar comparisons run only on hardware where CPUID
+// reports AVX2+FMA, and the avx512 ones only where it also reports
+// AVX-512F (anywhere else the narrower backend is active and there is
+// nothing to compare); the public batch API is additionally compared
+// against direct fast-kernel loops on every machine, covering the
+// dispatcher's block/tail seam at awkward lengths.
 
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -180,52 +181,124 @@ TEST(SimdKernels, PolarBatchMatchesFastLoop)
     }
 }
 
-// --------------------------------------------- avx2 vs scalar directly
-// On AVX2 hardware, compare the two backend implementations head to
-// head — this is the lane-vs-scalar proof that also stands in for the
-// "native vs ANC_FORCE_SCALAR_SIMD dispatch" bit-identity claim (a
-// forced-scalar process runs exactly detail::*_scalar).
+// ------------------------------------------ lane tables vs scalar
+// Each lane width's kernel table (the two objects built from
+// util/simd_lanes.cpp) against the scalar references, head to head, on
+// sizes that are whole lane blocks at both widths.  This is the
+// lane-vs-scalar proof that also stands in for the "native vs
+// ANC_FORCE_SCALAR_SIMD dispatch" bit-identity claim (a forced-scalar
+// process runs exactly detail::*_scalar); the avx2 table runs only
+// where CPUID reports AVX2+FMA, the avx512 table only where it also
+// reports AVX-512F.
 
-TEST(SimdKernels, Avx2LanesEqualScalarKernels)
+/// atan2, sincos, log, polar, the two channel accumulates, the
+/// Counter_normal pair and the pilot scans of `lanes` against their
+/// scalar references.
+void expect_lanes_equal_scalar(const detail::Lane_kernels& lanes, std::uint64_t seed)
 {
-    if (!avx2_available())
-        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
-    const std::size_t n = 4096; // multiple of 4: pure lane coverage
-    const std::vector<double> y = random_range(n, -20.0, 20.0, 0xE1);
-    const std::vector<double> x = random_range(n, -20.0, 20.0, 0xE2);
-    const std::vector<double> angles = random_range(n, -2000.0, 2000.0, 0xE3);
-    const std::vector<double> uniforms = random_range(n, 1e-12, 2.0, 0xE4);
+    const std::size_t n = 4096; // a multiple of 16: pure lane coverage
+    const std::vector<double> y = random_range(n, -20.0, 20.0, seed + 1);
+    const std::vector<double> x = random_range(n, -20.0, 20.0, seed + 2);
+    const std::vector<double> angles = random_range(n, -2000.0, 2000.0, seed + 3);
+    const std::vector<double> uniforms = random_range(n, 1e-12, 2.0, seed + 4);
 
     std::vector<double> a1(n), a2(n);
-    detail::atan2_batch_avx2(y.data(), x.data(), a1.data(), n);
+    lanes.atan2(y.data(), x.data(), a1.data(), n);
     detail::atan2_batch_scalar(y.data(), x.data(), a2.data(), n);
     std::vector<double> s1(n), c1(n), s2(n), c2(n);
-    detail::sincos_batch_avx2(angles.data(), s1.data(), c1.data(), n);
+    lanes.sincos(angles.data(), s1.data(), c1.data(), n);
     detail::sincos_batch_scalar(angles.data(), s2.data(), c2.data(), n);
     std::vector<double> l1(n), l2(n);
-    detail::log_batch_avx2(uniforms.data(), l1.data(), n);
+    lanes.log(uniforms.data(), l1.data(), n);
     detail::log_batch_scalar(uniforms.data(), l2.data(), n);
+    std::vector<double> p1(2 * n), p2(2 * n);
+    lanes.polar(angles.data(), 0.83, p1.data(), n);
+    detail::polar_batch_scalar(angles.data(), 0.83, p2.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
-        expect_same_bits(a1[i], a2[i], "atan2 avx2-vs-scalar", i);
-        expect_same_bits(s1[i], s2[i], "sin avx2-vs-scalar", i);
-        expect_same_bits(c1[i], c2[i], "cos avx2-vs-scalar", i);
-        expect_same_bits(l1[i], l2[i], "log avx2-vs-scalar", i);
+        expect_same_bits(a1[i], a2[i], "atan2 lanes-vs-scalar", i);
+        expect_same_bits(s1[i], s2[i], "sin lanes-vs-scalar", i);
+        expect_same_bits(c1[i], c2[i], "cos lanes-vs-scalar", i);
+        expect_same_bits(l1[i], l2[i], "log lanes-vs-scalar", i);
+        expect_same_bits(p1[2 * i], p2[2 * i], "polar-re lanes-vs-scalar", i);
+        expect_same_bits(p1[2 * i + 1], p2[2 * i + 1], "polar-im lanes-vs-scalar", i);
     }
+
+    // Channel accumulates: x/y as the interleaved signal, the angles'
+    // polar fill as the per-sample rotor stream.
+    const std::size_t samples = n / 2;
+    std::vector<double> r1(2 * samples, 0.5), r2(2 * samples, 0.5);
+    lanes.rotor_accumulate(y.data(), r1.data(), samples, 0.6, -0.7);
+    detail::rotor_accumulate_scalar(y.data(), r2.data(), samples, 0.6, -0.7);
+    std::vector<double> m1(2 * samples, 0.25), m2(2 * samples, 0.25);
+    lanes.cmul_accumulate(x.data(), p2.data(), m1.data(), samples);
+    detail::cmul_accumulate_scalar(x.data(), p2.data(), m2.data(), samples);
+    for (std::size_t i = 0; i < 2 * samples; ++i) {
+        expect_same_bits(r1[i], r2[i], "rotor accumulate lanes-vs-scalar", i);
+        expect_same_bits(m1[i], m2[i], "cmul accumulate lanes-vs-scalar", i);
+    }
+
+    const Counter_normal gen{seed, 5};
+    std::vector<double> z1(n), z2(n);
+    lanes.counter_normal_fill(gen.key_a(), gen.key_b(), 41, z1.data(), n);
+    gen.fill(41, z2.data(), n);
+    std::vector<double> acc1(n, 0.25), acc2(n, 0.25);
+    lanes.counter_normal_add_scaled(gen.key_a(), gen.key_b(), 41, 0.7, acc1.data(), n);
+    gen.add_scaled(41, 0.7, acc2.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        expect_same_bits(z1[i], z2[i], "counter-normal fill lanes-vs-scalar", i);
+        expect_same_bits(acc1[i], acc2[i], "counter-normal add_scaled lanes-vs-scalar",
+                         i);
+    }
+
+    // Pilot scans: the integer min-key reductions against plain
+    // popcount loops over random words and a random 2-word pattern table.
+    Pcg32 rng{seed, 6};
+    std::vector<std::uint64_t> words(40), shifted(128), masks(128);
+    for (std::uint64_t& w : words)
+        w = rng.next_u64();
+    for (std::size_t k = 0; k < 128; ++k) {
+        shifted[k] = rng.next_u64();
+        masks[k] = rng.next_u64() | rng.next_u64();
+    }
+    const std::size_t max_errors = 40;
+    const auto key_at = [&](std::size_t start) {
+        const std::uint64_t* hay = words.data() + (start >> 6);
+        const std::size_t row = 2 * (start & 63);
+        const auto errors = static_cast<std::uint64_t>(
+            std::popcount((hay[0] ^ shifted[row]) & masks[row])
+            + std::popcount((hay[1] ^ shifted[row + 1]) & masks[row + 1]));
+        return errors <= max_errors ? (errors << 48) | start : ~std::uint64_t{0};
+    };
+    std::uint64_t expected = ~std::uint64_t{0};
+    for (std::size_t start = 64 * 3; start <= 64 * 30 + 63; ++start)
+        expected = std::min(expected, key_at(start));
+    ASSERT_NE(expected, ~std::uint64_t{0}) << "no start within max_errors";
+    std::uint64_t striped = ~std::uint64_t{0};
+    lanes.pilot_scan_striped(words.data(), shifted.data(), masks.data(), 3, 30,
+                             max_errors, &striped);
+    EXPECT_EQ(striped, expected);
+    // The position-major scan stops at a zero-error start; random words
+    // never produce one, so it sees the whole range too.
+    std::uint64_t starts = ~std::uint64_t{0};
+    lanes.pilot_scan_starts(words.data(), shifted.data(), masks.data(), 2, 64 * 3,
+                            64 * 30 + 63, max_errors, &starts);
+    EXPECT_EQ(starts, expected);
 }
 
-TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
+/// The interference decoder's three kernels of `lanes` against their
+/// scalar references.
+void expect_decoder_lanes_equal_scalar(const detail::Lane_kernels& lanes,
+                                       std::uint64_t seed)
 {
-    if (!avx2_available())
-        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
     const std::size_t count = 512;
-    const std::vector<double> samples = random_range(2 * count, -3.0, 3.0, 0xF1);
+    const std::vector<double> samples = random_range(2 * count, -3.0, 3.0, seed + 1);
     const double a = 0.95;
     const double b = 0.88;
 
     std::vector<double> tp1(count), tm1(count), pm1(count), pp1(count);
     std::vector<double> tp2(count), tm2(count), pm2(count), pp2(count);
-    detail::anc_candidates_batch_avx2(samples.data(), count, a, b, tp1.data(),
-                                      tm1.data(), pm1.data(), pp1.data());
+    lanes.anc_candidates(samples.data(), count, a, b, tp1.data(), tm1.data(),
+                         pm1.data(), pp1.data());
     detail::anc_candidates_batch_scalar(samples.data(), count, a, b, tp2.data(),
                                         tm2.data(), pm2.data(), pp2.data());
     for (std::size_t i = 0; i < count; ++i) {
@@ -235,20 +308,20 @@ TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
         expect_same_bits(pp1[i], pp2[i], "phi+", i);
     }
 
-    const std::size_t transitions = count - 4; // multiple of 4
+    const std::size_t transitions = count - 16; // whole blocks at both widths
     std::vector<double> known(transitions);
-    Pcg32 rng{0xF2, 3};
+    Pcg32 rng{seed + 2, 3};
     for (double& k : known)
         k = rng.next_bernoulli(0.5) ? 1.5707963267948966 : -1.5707963267948966;
     std::vector<double> f1(transitions), e1(transitions);
     std::vector<double> f2(transitions), e2(transitions);
-    detail::anc_select_batch_avx2(tp1.data(), tm1.data(), pm1.data(), pp1.data(),
-                                  known.data(), transitions, f1.data(), e1.data());
+    lanes.anc_select(tp1.data(), tm1.data(), pm1.data(), pp1.data(), known.data(),
+                     transitions, f1.data(), e1.data());
     detail::anc_select_batch_scalar(tp2.data(), tm2.data(), pm2.data(), pp2.data(),
                                     known.data(), transitions, f2.data(),
                                     e2.data());
     std::vector<double> d1(transitions), d2(transitions);
-    detail::diff_arg_batch_avx2(samples.data(), transitions, d1.data());
+    lanes.diff_arg(samples.data(), transitions, d1.data());
     detail::diff_arg_batch_scalar(samples.data(), transitions, d2.data());
     for (std::size_t i = 0; i < transitions; ++i) {
         expect_same_bits(f1[i], f2[i], "selected phi", i);
@@ -257,88 +330,42 @@ TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
     }
 }
 
-// ------------------------------------------- avx512 vs scalar directly
-// On AVX-512F hardware, the 8-wide lanes must equal the scalar kernels
-// bit for bit too (and, transitively, the AVX2 lanes).  These mirror
-// the avx2 comparisons at widths that are multiples of 8 so the 512-bit
-// paths get pure lane coverage.
+TEST(SimdKernels, Avx2LanesEqualScalarKernels)
+{
+    if (!avx2_available())
+        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
+    const detail::Lane_kernels* lanes = detail::lane_kernels(Backend::avx2);
+    ASSERT_NE(lanes, nullptr);
+    EXPECT_EQ(lanes->width, 4u);
+    expect_lanes_equal_scalar(*lanes, 0xE0);
+}
+
+TEST(SimdKernels, Avx2DecoderKernelsEqualScalar)
+{
+    if (!avx2_available())
+        GTEST_SKIP() << "CPU lacks AVX2+FMA; backend is scalar-only here";
+    const detail::Lane_kernels* lanes = detail::lane_kernels(Backend::avx2);
+    ASSERT_NE(lanes, nullptr);
+    expect_decoder_lanes_equal_scalar(*lanes, 0xF0);
+}
 
 TEST(SimdKernels, Avx512LanesEqualScalarKernels)
 {
     if (!avx512_available())
         GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
-    const std::size_t n = 4096; // multiple of 8: pure lane coverage
-    const std::vector<double> y = random_range(n, -20.0, 20.0, 0x511);
-    const std::vector<double> x = random_range(n, -20.0, 20.0, 0x512);
-    const std::vector<double> angles = random_range(n, -2000.0, 2000.0, 0x513);
-    const std::vector<double> uniforms = random_range(n, 1e-12, 2.0, 0x514);
-
-    std::vector<double> a1(n), a2(n);
-    detail::atan2_batch_avx512(y.data(), x.data(), a1.data(), n);
-    detail::atan2_batch_scalar(y.data(), x.data(), a2.data(), n);
-    std::vector<double> s1(n), c1(n), s2(n), c2(n);
-    detail::sincos_batch_avx512(angles.data(), s1.data(), c1.data(), n);
-    detail::sincos_batch_scalar(angles.data(), s2.data(), c2.data(), n);
-    std::vector<double> l1(n), l2(n);
-    detail::log_batch_avx512(uniforms.data(), l1.data(), n);
-    detail::log_batch_scalar(uniforms.data(), l2.data(), n);
-    std::vector<double> p1(2 * n), p2(2 * n);
-    detail::polar_batch_avx512(angles.data(), 0.83, p1.data(), n);
-    detail::polar_batch_scalar(angles.data(), 0.83, p2.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        expect_same_bits(a1[i], a2[i], "atan2 avx512-vs-scalar", i);
-        expect_same_bits(s1[i], s2[i], "sin avx512-vs-scalar", i);
-        expect_same_bits(c1[i], c2[i], "cos avx512-vs-scalar", i);
-        expect_same_bits(l1[i], l2[i], "log avx512-vs-scalar", i);
-        expect_same_bits(p1[2 * i], p2[2 * i], "polar-re avx512-vs-scalar", i);
-        expect_same_bits(p1[2 * i + 1], p2[2 * i + 1],
-                         "polar-im avx512-vs-scalar", i);
-    }
+    const detail::Lane_kernels* lanes = detail::lane_kernels(Backend::avx512);
+    ASSERT_NE(lanes, nullptr);
+    EXPECT_EQ(lanes->width, 8u);
+    expect_lanes_equal_scalar(*lanes, 0x510);
 }
 
 TEST(SimdKernels, Avx512DecoderKernelsEqualScalar)
 {
     if (!avx512_available())
         GTEST_SKIP() << "CPU lacks AVX-512F; widest backend here is avx2";
-    const std::size_t count = 512;
-    const std::vector<double> samples = random_range(2 * count, -3.0, 3.0, 0x521);
-    const double a = 0.95;
-    const double b = 0.88;
-
-    std::vector<double> tp1(count), tm1(count), pm1(count), pp1(count);
-    std::vector<double> tp2(count), tm2(count), pm2(count), pp2(count);
-    detail::anc_candidates_batch_avx512(samples.data(), count, a, b, tp1.data(),
-                                        tm1.data(), pm1.data(), pp1.data());
-    detail::anc_candidates_batch_scalar(samples.data(), count, a, b, tp2.data(),
-                                        tm2.data(), pm2.data(), pp2.data());
-    for (std::size_t i = 0; i < count; ++i) {
-        expect_same_bits(tp1[i], tp2[i], "theta+ avx512", i);
-        expect_same_bits(tm1[i], tm2[i], "theta- avx512", i);
-        expect_same_bits(pm1[i], pm2[i], "phi- avx512", i);
-        expect_same_bits(pp1[i], pp2[i], "phi+ avx512", i);
-    }
-
-    const std::size_t transitions = count - 8; // multiple of 8
-    std::vector<double> known(transitions);
-    Pcg32 rng{0x522, 3};
-    for (double& k : known)
-        k = rng.next_bernoulli(0.5) ? 1.5707963267948966 : -1.5707963267948966;
-    std::vector<double> f1(transitions), e1(transitions);
-    std::vector<double> f2(transitions), e2(transitions);
-    detail::anc_select_batch_avx512(tp1.data(), tm1.data(), pm1.data(), pp1.data(),
-                                    known.data(), transitions, f1.data(),
-                                    e1.data());
-    detail::anc_select_batch_scalar(tp2.data(), tm2.data(), pm2.data(), pp2.data(),
-                                    known.data(), transitions, f2.data(),
-                                    e2.data());
-    std::vector<double> d1(transitions), d2(transitions);
-    detail::diff_arg_batch_avx512(samples.data(), transitions, d1.data());
-    detail::diff_arg_batch_scalar(samples.data(), transitions, d2.data());
-    for (std::size_t i = 0; i < transitions; ++i) {
-        expect_same_bits(f1[i], f2[i], "selected phi avx512", i);
-        expect_same_bits(e1[i], e2[i], "selected error avx512", i);
-        expect_same_bits(d1[i], d2[i], "diff arg avx512", i);
-    }
+    const detail::Lane_kernels* lanes = detail::lane_kernels(Backend::avx512);
+    ASSERT_NE(lanes, nullptr);
+    expect_decoder_lanes_equal_scalar(*lanes, 0x520);
 }
 
 TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
@@ -349,20 +376,20 @@ TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
     // (key, counter) words.  Keys are passed directly so this holds for
     // arbitrary key material, not just Counter_normal-derived keys (the
     // public fill_simd path is covered by tests/util/counter_normal_*).
+    const detail::Lane_kernels& wide = *detail::lane_kernels(Backend::avx512);
+    const detail::Lane_kernels& narrow = *detail::lane_kernels(Backend::avx2);
     const std::uint64_t key_a = 0x0123456789abcdefULL;
     const std::uint64_t key_b = 0xfedcba9876543210ULL;
     const std::size_t count = 256; // multiple of 16
-    std::vector<double> wide(count), narrow(count);
-    detail::counter_normal_fill_avx512(key_a, key_b, 41, wide.data(), count);
-    detail::counter_normal_fill_avx2(key_a, key_b, 41, narrow.data(), count);
+    std::vector<double> z_wide(count), z_narrow(count);
+    wide.counter_normal_fill(key_a, key_b, 41, z_wide.data(), count);
+    narrow.counter_normal_fill(key_a, key_b, 41, z_narrow.data(), count);
     for (std::size_t i = 0; i < count; ++i)
-        expect_same_bits(wide[i], narrow[i], "counter-normal fill avx512", i);
+        expect_same_bits(z_wide[i], z_narrow[i], "counter-normal fill avx512", i);
 
     std::vector<double> acc_wide(count, 0.25), acc_narrow(count, 0.25);
-    detail::counter_normal_add_scaled_avx512(key_a, key_b, 41, 0.7,
-                                             acc_wide.data(), count);
-    detail::counter_normal_add_scaled_avx2(key_a, key_b, 41, 0.7,
-                                           acc_narrow.data(), count);
+    wide.counter_normal_add_scaled(key_a, key_b, 41, 0.7, acc_wide.data(), count);
+    narrow.counter_normal_add_scaled(key_a, key_b, 41, 0.7, acc_narrow.data(), count);
     for (std::size_t i = 0; i < count; ++i)
         expect_same_bits(acc_wide[i], acc_narrow[i],
                          "counter-normal add_scaled avx512", i);

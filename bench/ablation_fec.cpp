@@ -59,7 +59,8 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     chan::Medium medium{noise_power, rng.fork(1), config.math_profile};
     Pcg32 link_rng = rng.fork(2);
     net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{}, link_rng);
+    install_alice_bob(medium, nodes, net::Alice_bob_gains{},
+                      net::Link_fading{}, link_rng);
     phy::Modem_config node_modem;
     node_modem.math_profile = config.math_profile;
     net::Net_node alice{nodes.alice, node_modem};

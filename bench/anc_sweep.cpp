@@ -29,6 +29,8 @@
 //   --shard K/N         run the K-th of N deterministic partitions
 //   --merge J1,J2,...   fold shard journals into one result set
 //   --task-retries N    re-run a throwing task up to N extra times
+//   --journal-stream    copy the journal to stdout as it grows (the
+//                       coordinator's pipe to a remote worker)
 // Per-task exceptions become `status=error` rows instead of aborting
 // the sweep; SIGINT/SIGTERM drain gracefully, flush the journal, and
 // still emit the partial artifacts.
@@ -44,7 +46,7 @@
 // finished task).
 
 #include <atomic>
-#include <chrono>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -55,14 +57,14 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "sweep_cli.h"
 #include "engine/engine.h"
 #include "engine/journal.h"
-#include "engine/jstream.h"
 #include "util/atomic_file.h"
-#include "util/net.h"
 
 namespace {
 
@@ -110,12 +112,10 @@ int usage(const char* argv0, const char* error = nullptr)
         "  --merge J1,J2,...      merge shard journals (repeatable); needs the\n"
         "                         same grid flags and --seed as the shards\n"
         "  --task-retries N       extra attempts per throwing task (default 0)\n"
-        "  --journal-stream H:P   also stream journal lines to a coordinator's\n"
-        "                         anc.jstream.v1 listener (needs --journal or\n"
-        "                         --resume; the local file stays authoritative)\n"
-        "  --stream-flush-ms N    end-of-run budget for draining the stream\n"
-        "                         (default 3000; unsynced lines are recovered\n"
-        "                         by the coordinator on relaunch)\n"
+        "  --journal-stream       copy the journal, from byte 0, to stdout as\n"
+        "                         it grows (needs --journal or --resume;\n"
+        "                         implies --quiet); stops the sweep (exit 4)\n"
+        "                         if stdout breaks\n"
         "\n"
         "exit codes: 0 ok, 2 usage, 3 task errors or merge gaps, 4 interrupted\n",
         argv0, Grid_cli::usage_text);
@@ -129,8 +129,7 @@ struct Cli_options {
     std::string journal_path, resume_path;
     std::vector<std::string> merge_paths;
     std::size_t shard_index = 1, shard_count = 1;
-    std::string stream_peer; ///< --journal-stream host:port (empty = off)
-    std::chrono::milliseconds stream_flush{3000};
+    bool journal_stream = false;
     bool stream = false;
     bool quiet = false;
 };
@@ -146,6 +145,54 @@ engine::Journal_header header_for(const Cli_options& options, std::size_t total_
     header.shard_count = options.shard_count;
     return header;
 }
+
+/// --journal-stream: copies the journal FILE to stdout as it grows,
+/// complete lines only, so what leaves the process is byte-for-byte
+/// what was checkpointed.  It starts at byte 0, so a resumed worker
+/// replays its local journal before continuing; readers dedup the
+/// repeats by task index.
+class Journal_echo {
+public:
+    explicit Journal_echo(const std::string& path) : fd_{::open(path.c_str(), O_RDONLY)}
+    {
+        if (fd_ < 0)
+            throw std::runtime_error{"--journal-stream: cannot open " + path};
+    }
+    ~Journal_echo() { ::close(fd_); }
+    Journal_echo(const Journal_echo&) = delete;
+    Journal_echo& operator=(const Journal_echo&) = delete;
+
+    /// Copy the complete lines appended since the last call.  False
+    /// once a write to stdout has failed (EPIPE: the link is gone); the
+    /// first failure is reported on stderr.
+    bool pump()
+    {
+        char buffer[1 << 16];
+        ssize_t got;
+        while (!failed_ && (got = ::read(fd_, buffer, sizeof buffer)) > 0)
+            pending_.append(buffer, static_cast<std::size_t>(got));
+        const std::size_t end = pending_.rfind('\n');
+        for (std::size_t at = 0; !failed_ && end != std::string::npos && at <= end;) {
+            const ssize_t wrote =
+                ::write(STDOUT_FILENO, pending_.data() + at, end + 1 - at);
+            if (wrote > 0)
+                at += static_cast<std::size_t>(wrote);
+            else if (wrote == 0 || errno != EINTR) {
+                failed_ = true;
+                std::fprintf(stderr, "anc_sweep: --journal-stream: stdout: %s\n",
+                             std::strerror(errno));
+            }
+        }
+        if (!failed_ && end != std::string::npos)
+            pending_.erase(0, end + 1);
+        return !failed_;
+    }
+
+private:
+    int fd_;
+    std::string pending_; ///< read but not yet written (a partial line)
+    bool failed_ = false;
+};
 
 void emit_artifacts(const Cli_options& options,
                     const std::vector<engine::Task_result>& results,
@@ -319,28 +366,24 @@ int run_sweep_cli(const Cli_options& options_in)
         }
     }
 
-    // --journal-stream: replicate the journal to a coordinator as it
-    // grows.  The sender tails the journal FILE (not the in-memory
-    // rows), so what travels is byte-for-byte what was checkpointed.
-    std::unique_ptr<engine::Jstream_sender> stream_sender;
-    if (!options.stream_peer.empty()) {
-        engine::Jstream_sender::Config sender_config;
-        if (!util::parse_host_port(options.stream_peer, sender_config.peer))
-            throw std::invalid_argument{"--journal-stream: bad host:port '"
-                                        + options.stream_peer + "'"};
-        sender_config.shard_index = options.shard_index;
-        sender_config.shard_count = options.shard_count;
-        stream_sender = std::make_unique<engine::Jstream_sender>(
-            sender_config, options.journal_path);
-        stream_sender->pump(); // ship the magic/header (and carried rows) now
+    // --journal-stream: a broken stdout stops the sweep like SIGTERM
+    // does.  The coordinator relaunches the shard with --resume against
+    // the same journal, so this process must not keep appending to it.
+    std::unique_ptr<Journal_echo> echo;
+    const auto pump_echo = [&echo]() {
+        if (echo && !echo->pump())
+            g_interrupted.store(true, std::memory_order_relaxed);
+    };
+    if (options.journal_stream) {
+        echo = std::make_unique<Journal_echo>(options.journal_path);
+        pump_echo(); // the magic/header (and any resumed rows) now
     }
 
     if (journal) {
-        options.config.on_complete = [&journal, &stream_sender](
+        options.config.on_complete = [&journal, &pump_echo](
                                          const engine::Task_result& result) {
             journal->append(result);
-            if (stream_sender)
-                stream_sender->pump();
+            pump_echo();
         };
     }
 
@@ -395,18 +438,6 @@ int run_sweep_cli(const Cli_options& options_in)
 
     if (journal)
         journal->flush();
-    if (stream_sender) {
-        // Best-effort drain: a false return means some tail lines were
-        // not acknowledged — the local journal still has them, and the
-        // coordinator recovers via relaunch-with-resume.
-        stream_sender->finish(options.stream_flush);
-        const engine::Jstream_sender_stats& js = stream_sender->stats();
-        std::fprintf(stderr,
-                     "anc_sweep: jstream connects=%zu reconnects=%zu sent=%zu "
-                     "replayed=%zu synced=%d\n",
-                     js.connects, js.reconnects, js.lines_sent, js.replayed_lines,
-                     js.synced ? 1 : 0);
-    }
 
     std::vector<engine::Point_summary> points;
     if (options.stream) {
@@ -482,10 +513,7 @@ int main(int argc, char** argv)
             } else if (arg == "--task-retries")
                 options.config.max_attempts = 1 + parse_size_axis(value()).front();
             else if (arg == "--journal-stream")
-                options.stream_peer = value();
-            else if (arg == "--stream-flush-ms")
-                options.stream_flush =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                options.journal_stream = true;
             else if (arg == "--stream")
                 options.stream = true;
             else if (arg == "--quiet")
@@ -507,19 +535,23 @@ int main(int argc, char** argv)
         if (!options.merge_paths.empty()
             && (!options.journal_path.empty() || !options.resume_path.empty()
                 || options.shard_count > 1 || options.stream
-                || !options.stream_peer.empty()))
-            return usage(argv[0],
-                         "--merge excludes --journal/--resume/--shard/--stream");
-        if (!options.stream_peer.empty()) {
-            if (options.journal_path.empty() && options.resume_path.empty())
-                return usage(argv[0],
-                             "--journal-stream needs --journal or --resume "
-                             "(the stream replicates the journal file)");
-            anc::util::Host_port probe;
-            if (!anc::util::parse_host_port(options.stream_peer, probe))
-                return usage(argv[0], ("--journal-stream: bad host:port '"
-                                       + options.stream_peer + "'")
-                                          .c_str());
+                || options.journal_stream))
+            return usage(argv[0], "--merge excludes --journal/--resume/--shard/"
+                                  "--stream/--journal-stream");
+        if (options.journal_stream) {
+            const std::string& journal = options.journal_path.empty()
+                                             ? options.resume_path
+                                             : options.journal_path;
+            if (journal.empty())
+                return usage(argv[0], "--journal-stream needs --journal or --resume "
+                                      "(it copies the journal file)");
+            // Copying a journal into itself would never end.
+            struct stat out{}, file{};
+            if (::fstat(STDOUT_FILENO, &out) == 0
+                && ::stat(journal.c_str(), &file) == 0 && out.st_dev == file.st_dev
+                && out.st_ino == file.st_ino)
+                return usage(argv[0], "--journal-stream: stdout is the journal itself");
+            options.quiet = true; // stdout carries the journal
         }
 
         struct sigaction action{};

@@ -243,7 +243,7 @@ Stage_result bench_mix(double min_seconds, dsp::Math_profile profile)
     net::Alice_bob_nodes nodes;
     net::Alice_bob_gains gains;
     Pcg32 link_rng = rng.fork(2);
-    install_alice_bob(medium, nodes, gains, link_rng);
+    install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
 
     const Bits bits_a = frame_sized_bits(bench_frame_bits, 0xB0);
     const Bits bits_b = frame_sized_bits(bench_frame_bits, 0xB1);
@@ -306,7 +306,7 @@ Stage_result bench_relay(double min_seconds)
     net::Alice_bob_nodes nodes;
     net::Alice_bob_gains gains;
     Pcg32 link_rng = rng.fork(2);
-    install_alice_bob(medium, nodes, gains, link_rng);
+    install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
 
     const dsp::Msk_modulator modulator{1.0, 0.0};
     const dsp::Signal signal_a = modulator.modulate(frame_sized_bits(bench_frame_bits, 0xC0));
@@ -332,7 +332,7 @@ Stage_result bench_interference_decode(double min_seconds, dsp::Math_profile pro
     net::Alice_bob_nodes nodes;
     net::Alice_bob_gains gains;
     Pcg32 link_rng = rng.fork(2);
-    install_alice_bob(medium, nodes, gains, link_rng);
+    install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
 
     const Bits bits_a = frame_sized_bits(bench_frame_bits, 0xE0);
     const Bits bits_b = frame_sized_bits(bench_frame_bits, 0xE1);

@@ -1,6 +1,8 @@
 #include "engine/coordinator.h"
 
+#include <cctype>
 #include <csignal>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -8,6 +10,8 @@
 #include <thread>
 #include <utility>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "engine/fleet.h"
@@ -66,6 +70,107 @@ std::string shard_journal_path(const std::string& work_dir, std::size_t shard_in
     return work_dir + "/shard" + std::to_string(shard_index) + ".anj";
 }
 
+namespace {
+
+/// Make `mirror` safe to append to.  A link severed mid-line leaves a
+/// partial final line, and the next attempt's first line would splice
+/// onto it.  A partial FIRST line (the tear hit the magic) is truncated
+/// away: terminated, it would fail the tailer's magic check for good.
+/// A later partial line is terminated with '\n', so it becomes one
+/// corrupt line the tailer drops.  The tailer consumes complete lines
+/// only, so it has read none of the bytes this touches.
+void neutralize_torn_tail(const std::string& mirror)
+{
+    const int fd = ::open(mirror.c_str(), O_RDWR | O_APPEND);
+    if (fd < 0)
+        return; // no mirror yet
+    struct stat info{};
+    char last = '\n';
+    if (::fstat(fd, &info) == 0 && info.st_size > 0
+        && ::pread(fd, &last, 1, info.st_size - 1) == 1 && last != '\n') {
+        char head[64];
+        const ssize_t got = ::pread(fd, head, sizeof head, 0);
+        const bool first_line_complete =
+            got > 0 && std::memchr(head, '\n', static_cast<std::size_t>(got));
+        const bool neutralized = first_line_complete ? ::write(fd, "\n", 1) == 1
+                                                     : ::ftruncate(fd, 0) == 0;
+        if (!neutralized) {
+            ::close(fd);
+            throw std::runtime_error{"cannot neutralize the torn tail of " + mirror};
+        }
+    }
+    ::close(fd);
+}
+
+/// The launchers' shared stdio rule (exec_launcher's comment).  Returns
+/// whether the worker's stdout is its shard's mirror.
+bool worker_stdio(const Worker_request& req, const std::string& work_dir,
+                  util::Spawn_options& options)
+{
+    const std::string mirror = shard_journal_path(work_dir, req.shard_index);
+    const bool streamed = req.journal_path != mirror;
+    if (streamed)
+        neutralize_torn_tail(mirror);
+    options.stdout_path = streamed ? mirror : "/dev/null";
+    options.stderr_path =
+        work_dir + "/worker_shard" + std::to_string(req.shard_index) + ".log";
+    return streamed;
+}
+
+/// True when `a` and `b` name the same existing directory.
+bool same_directory(const std::string& a, const std::string& b)
+{
+    struct stat sa{}, sb{};
+    if (::stat(a.c_str(), &sa) != 0 || ::stat(b.c_str(), &sb) != 0)
+        return a == b;
+    return sa.st_dev == sb.st_dev && sa.st_ino == sb.st_ino;
+}
+
+bool is_placeholder_char(char c)
+{
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// Replace every `{name}` placeholder of `text` in one left-to-right
+/// pass (substituted values are never rescanned).  `{` after `$` is
+/// shell syntax and stays; so does a brace pair around anything but a
+/// placeholder name.  Unknown names are dropped and reported through
+/// `unknown`.
+std::string substitute(const std::string& text,
+                       const std::map<std::string, std::string>& values,
+                       std::vector<std::string>* unknown = nullptr)
+{
+    std::string out;
+    out.reserve(text.size());
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+        const std::size_t open = text.find('{', pos);
+        if (open == std::string::npos)
+            break;
+        std::size_t close = open + 1;
+        while (close < text.size() && is_placeholder_char(text[close]))
+            ++close;
+        const bool placeholder = close > open + 1 && close < text.size()
+                              && text[close] == '}'
+                              && (open == 0 || text[open - 1] != '$');
+        out.append(text, pos, (placeholder ? open : close) - pos);
+        pos = close;
+        if (!placeholder)
+            continue;
+        const std::string name = text.substr(open + 1, close - open - 1);
+        const auto found = values.find(name);
+        if (found != values.end())
+            out += found->second;
+        else if (unknown != nullptr)
+            unknown->push_back(name);
+        ++pos; // the closing brace
+    }
+    out.append(text, pos, std::string::npos);
+    return out;
+}
+
+} // namespace
+
 Worker_launcher exec_launcher(std::string worker_bin,
                               std::vector<std::string> grid_argv,
                               std::size_t worker_threads, std::string work_dir)
@@ -73,7 +178,7 @@ Worker_launcher exec_launcher(std::string worker_bin,
     return [worker_bin = std::move(worker_bin), grid_argv = std::move(grid_argv),
             worker_threads, work_dir = std::move(work_dir)](const Worker_request& req) {
         std::vector<std::string> argv;
-        argv.reserve(grid_argv.size() + 8);
+        argv.reserve(grid_argv.size() + 9);
         argv.push_back(worker_bin);
         argv.insert(argv.end(), grid_argv.begin(), grid_argv.end());
         argv.push_back("--quiet");
@@ -86,43 +191,47 @@ Worker_launcher exec_launcher(std::string worker_bin,
         // keeps every task the dead worker already completed.
         argv.push_back(req.resume ? "--resume" : "--journal");
         argv.push_back(req.journal_path);
-        if (!req.stream.empty()) {
-            argv.push_back("--journal-stream");
-            argv.push_back(req.stream);
-        }
         util::Spawn_options options;
-        options.stdout_path = "/dev/null";
-        options.stderr_path =
-            work_dir + "/worker_shard" + std::to_string(req.shard_index) + ".log";
+        if (worker_stdio(req, work_dir, options))
+            argv.push_back("--journal-stream");
         return util::Subprocess::spawn(argv, options);
     };
 }
 
-Worker_launcher template_launcher(std::string command_template,
-                                  std::string work_dir)
+Worker_launcher template_launcher(const std::string& command_template,
+                                  std::string worker_bin,
+                                  const std::vector<std::string>& grid_argv,
+                                  std::size_t worker_threads, std::string work_dir)
 {
-    return [command_template = std::move(command_template),
+    std::string grid;
+    for (const std::string& flag : grid_argv)
+        grid += (grid.empty() ? "" : " ") + flag;
+    const auto values_for = [worker_bin = std::move(worker_bin),
+                             grid = std::move(grid),
+                             worker_threads](const Worker_request& req) {
+        return std::map<std::string, std::string>{
+            {"worker", worker_bin},
+            {"grid", grid},
+            {"threads", std::to_string(worker_threads)},
+            {"shard", std::to_string(req.shard_index)},
+            {"shards", std::to_string(req.shard_count)},
+            {"journal", req.journal_path},
+            {"journal_flag", req.resume ? "--resume" : "--journal"},
+            {"attempt", std::to_string(req.attempt)},
+            {"slot", std::to_string(req.slot)}};
+    };
+    std::vector<std::string> unknown;
+    substitute(command_template, values_for(Worker_request{}), &unknown);
+    if (!unknown.empty())
+        throw std::invalid_argument{"--launch-template: unknown placeholder {"
+                                    + unknown.front() + "}"};
+
+    return [command_template, values_for,
             work_dir = std::move(work_dir)](const Worker_request& req) {
-        std::string command = command_template;
-        const auto replace_all = [&command](const std::string& key,
-                                            const std::string& value) {
-            for (std::size_t pos = 0;
-                 (pos = command.find(key, pos)) != std::string::npos;
-                 pos += value.size())
-                command.replace(pos, key.size(), value);
-        };
-        replace_all("{shard}", std::to_string(req.shard_index));
-        replace_all("{shards}", std::to_string(req.shard_count));
-        replace_all("{journal}", req.journal_path);
-        replace_all("{journal_flag}", req.resume ? "--resume" : "--journal");
-        replace_all("{stream}", req.stream);
-        replace_all("{attempt}", std::to_string(req.attempt));
-        replace_all("{slot}", std::to_string(req.slot));
         util::Spawn_options options;
-        options.stdout_path = "/dev/null";
-        options.stderr_path =
-            work_dir + "/worker_shard" + std::to_string(req.shard_index) + ".log";
-        return util::Subprocess::spawn({"/bin/sh", "-c", command}, options);
+        worker_stdio(req, work_dir, options);
+        return util::Subprocess::spawn(
+            {"/bin/sh", "-c", substitute(command_template, values_for(req))}, options);
     };
 }
 
@@ -139,12 +248,24 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
         throw std::invalid_argument{"run_coordinated: max_shard_attempts must be >= 1"};
     if (config.work_dir.empty())
         throw std::invalid_argument{"run_coordinated: work_dir is required"};
+    // A zero window would declare every worker stalled on its first
+    // poll and leave adopted shards no grace at all.
+    if (config.heartbeat_timeout.count() <= 0)
+        throw std::invalid_argument{"run_coordinated: heartbeat_timeout must be > 0"};
 
     const auto start = clock::now();
     const std::vector<Sweep_task> all_tasks = expand(grid, registry);
     const std::size_t total = all_tasks.size();
     const std::size_t shard_count = config.shards == 0 ? config.workers : config.shards;
     const std::size_t workers = config.workers;
+    // Workers journal outside work_dir only when the directory really
+    // differs: a worker streaming into its own journal would feed
+    // itself.
+    const std::string& worker_journal_dir =
+        config.worker_journal_dir.empty()
+                || same_directory(config.worker_journal_dir, config.work_dir)
+            ? config.work_dir
+            : config.worker_journal_dir;
 
     Coordinator_outcome outcome;
     Coordinator_stats& stats = outcome.stats;
@@ -316,10 +437,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
     /// up).  A worker that hung AFTER finishing its shard still counts
     /// as done — journal completeness, not exit status, is the verdict.
     const auto settle_exit = [&](Shard_state& shard) {
-        // A streamed worker's final lines may still sit in the socket;
-        // ingest them before judging completeness.
-        if (config.listener)
-            config.listener->poll();
         poll_shard(shard);
         const std::size_t slot = shard.slot;
         if (shard.have == shard.task_count) {
@@ -353,10 +470,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             cancelled = true;
             break;
         }
-
-        // ---- ingest: remote workers' streamed journal lines ----------
-        if (config.listener)
-            config.listener->poll();
 
         // ---- supervise: poll journals, reap exits, kill stalls -------
         for (Shard_state& shard : shards) {
@@ -429,10 +542,7 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             Worker_request request;
             request.shard_index = shard.index;
             request.shard_count = shard_count;
-            request.journal_path = shard_journal_path(
-                config.worker_journal_dir.empty() ? config.work_dir
-                                                  : config.worker_journal_dir,
-                shard.index);
+            request.journal_path = shard_journal_path(worker_journal_dir, shard.index);
             // Resume whenever a prior attempt may have left a journal:
             // the mirror proves one existed, and any attempt after the
             // first could have written one the coordinator cannot see
@@ -441,7 +551,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             request.resume = shard.tailer.have_header() || shard.attempts > 0;
             request.attempt = shard.attempts + 1;
             request.slot = slot;
-            request.stream = config.worker_stream;
 
             shard.child = config.launcher(request);
             ++shard.attempts;
@@ -491,8 +600,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             // Pick up everything the drain flushed, then release the
             // slot without judging the shard — a cancelled run is
             // incomplete by design, not failed.
-            if (config.listener)
-                config.listener->poll();
             poll_shard(shard);
             if (shard.have == shard.task_count)
                 shard.status = Shard_state::Status::done;
@@ -511,8 +618,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             ++outcome.failed_shards;
         stats.dropped_lines += shard.tailer.dropped_lines();
     }
-    if (config.listener)
-        stats.transport = config.listener->stats();
     outcome.completed = merged == total;
     outcome.cancelled = cancelled;
     outcome.tally.skipped = total - merged;

@@ -49,7 +49,6 @@
 
 #include "engine/executor.h"
 #include "engine/journal.h"
-#include "engine/jstream.h"
 #include "util/backoff.h"
 #include "util/subprocess.h"
 
@@ -62,7 +61,7 @@ struct Worker_request {
     std::size_t shard_count = 1;
     /// The WORKER-side journal path (Coordinator_config::
     /// worker_journal_dir) — distinct from the coordinator's mirror
-    /// when the fleet streams over TCP.
+    /// when the worker streams its journal over its stdout.
     std::string journal_path;
     /// True when a prior attempt may have left a journal worth
     /// resuming — the worker should `--resume` it instead of
@@ -71,9 +70,6 @@ struct Worker_request {
     bool resume = false;
     std::size_t attempt = 1; ///< 1 = first launch of this shard
     std::size_t slot = 0;    ///< worker slot (0-based) taking the shard
-    /// host:port the worker should --journal-stream its lines to;
-    /// empty for filesystem-only fleets.
-    std::string stream;
 };
 
 /// The launcher seam: turn a request into a running child process.
@@ -122,8 +118,6 @@ struct Coordinator_stats {
     std::size_t dropped_lines = 0;
     std::uint64_t wall_ns = 0;
     std::vector<Worker_slot_stats> slots;
-    /// The jstream listener's counters (zeros for filesystem fleets).
-    Jstream_listener_stats transport;
 };
 
 struct Coordinator_config {
@@ -138,7 +132,7 @@ struct Coordinator_config {
     std::chrono::milliseconds poll_interval{25};
     /// Stall threshold: a running worker whose journal watermark has
     /// not advanced for this long is killed and its shard reassigned.
-    /// Must comfortably exceed the longest single task.
+    /// Must comfortably exceed the longest single task, and be > 0.
     std::chrono::milliseconds heartbeat_timeout{30000};
     /// Total launches allowed per shard before it is declared
     /// permanently failed (>= 1).
@@ -159,19 +153,13 @@ struct Coordinator_config {
     /// running shards and carry attempt counts forward.  Empty
     /// disables persistence.
     std::string fleet_path;
-    /// Optional anc.jstream.v1 ingest listener (engine/jstream.h),
-    /// owned by the caller and polled once per supervision cycle.  Its
-    /// mirror_dir must be this config's work_dir so the shard tailers
-    /// see streamed rows exactly as they see local ones.
-    Jstream_listener* listener = nullptr;
-    /// host:port workers should stream their journals to, forwarded
-    /// verbatim via Worker_request::stream (normally this process's
-    /// listener address).  Empty for filesystem-only fleets.
-    std::string worker_stream;
     /// Directory workers journal into (Worker_request::journal_path).
-    /// Empty = work_dir (the local filesystem-sharing fleet).  Distinct
-    /// from work_dir when shard journals travel by stream: the mirror
-    /// files in work_dir then belong to the listener alone.
+    /// Empty (or the same directory as work_dir) = work_dir: the local
+    /// filesystem-sharing fleet.  Distinct from work_dir when the
+    /// workers run elsewhere (ssh, a container): each worker then
+    /// copies its journal to stdout (`anc_sweep --journal-stream`), and
+    /// the launchers point that stdout at the shard's mirror in
+    /// work_dir, which the shard tailers read like a local journal.
     std::string worker_journal_dir;
     Worker_launcher launcher; ///< required
     /// Merged-progress hook: (tasks merged so far, total tasks).
@@ -207,36 +195,50 @@ std::string shard_journal_path(const std::string& work_dir, std::size_t shard_in
 /// The production launcher: fork/exec `worker_bin` (an anc_sweep-compatible
 /// CLI) with `grid_argv` (the grid axes + --seed flags, forwarded
 /// verbatim so worker headers fingerprint-match the coordinator's grid),
-/// `--quiet --threads <worker_threads> --shard K/S`,
-/// `--journal`/`--resume` per the request, and `--journal-stream` when
-/// the request carries a stream address.  Worker stderr is appended to
-/// "<work_dir>/worker_shard<K>.log"; stdout goes to /dev/null.
+/// `--quiet --threads <worker_threads> --shard K/S`, and
+/// `--journal`/`--resume` per the request.
+///
+/// Both launchers share one stdio rule.  Worker stderr is appended to
+/// "<work_dir>/worker_shard<K>.log".  A request whose journal_path is
+/// the shard's own journal in work_dir sends stdout to /dev/null.  Any
+/// other journal_path (Coordinator_config::worker_journal_dir) sends
+/// stdout, opened O_APPEND, to that mirror; exec_launcher then also
+/// passes `--journal-stream`.  Before each launch a torn mirror tail
+/// (a link severed mid-line) is neutralised, so the next attempt's
+/// lines cannot splice onto it.
 Worker_launcher exec_launcher(std::string worker_bin,
                               std::vector<std::string> grid_argv,
                               std::size_t worker_threads, std::string work_dir);
 
 /// The remote-dispatch launcher: run `command_template` through
-/// `/bin/sh -c` with these placeholders substituted per request —
+/// `/bin/sh -c` with these placeholders substituted —
+///   {worker}                worker_bin
+///   {grid}                  grid_argv joined by spaces
+///   {threads}               worker_threads
 ///   {shard} {shards}        the 1-based shard index / shard count
 ///   {journal}               the worker-side journal path
 ///   {journal_flag}          "--resume" or "--journal"
-///   {stream}                the --journal-stream host:port (may be empty)
 ///   {attempt} {slot}        attempt number / worker slot
-/// The template wraps whatever transport reaches the worker host (ssh,
-/// a container runtime, a bare local shell in tests); the spawned
+/// Any other `{name}` (letters, digits, '_') throws
+/// std::invalid_argument here, before anything launches; `${name}` is
+/// left to the shell.  The template wraps whatever reaches the worker
+/// host (ssh, a container runtime, a bare local shell in tests) and,
+/// for a worker journaling outside work_dir, must pass
+/// `--journal-stream` so the journal reaches the mirror.  The spawned
 /// shell's exit status stands in for the worker's, so the template
-/// should `exec` its final command.  Stderr goes to the same
-/// per-shard log exec_launcher uses.
-Worker_launcher template_launcher(std::string command_template,
-                                  std::string work_dir);
+/// should `exec` its final command.
+Worker_launcher template_launcher(const std::string& command_template,
+                                  std::string worker_bin,
+                                  const std::vector<std::string>& grid_argv,
+                                  std::size_t worker_threads, std::string work_dir);
 
 /// Run `grid` to completion under coordinated multi-process execution.
 /// Scenarios resolve through `registry` only for task expansion (the
 /// workers do the actual running); `base_seed` must match what the
 /// launched workers use.  Throws std::invalid_argument on a bad config
-/// (no launcher, zero workers) and std::runtime_error when a worker
-/// journal turns out to be incompatible with the grid (a launcher
-/// wiring bug, never a data race).
+/// (no launcher, zero workers, a zero heartbeat) and std::runtime_error
+/// when a worker journal turns out to be incompatible with the grid (a
+/// launcher wiring bug, never a data race).
 Coordinator_outcome run_coordinated(const Sweep_grid& grid,
                                     const Scenario_registry& registry,
                                     std::uint64_t base_seed,

@@ -369,30 +369,6 @@ Journal_entry parse_entry(const std::string& payload)
 
 } // namespace
 
-Journal_line_kind classify_journal_line(const std::string& line,
-                                        std::uint64_t* task_index)
-{
-    if (line == journal_magic)
-        return Journal_line_kind::magic;
-    std::string payload;
-    if (!check_stamped_line(line, payload) || payload.empty())
-        return Journal_line_kind::invalid;
-    try {
-        if (payload.front() == 'H') {
-            parse_header(payload);
-            return Journal_line_kind::header;
-        }
-        if (payload.front() == 'T') {
-            const Journal_entry entry = parse_entry(payload);
-            if (task_index)
-                *task_index = entry.index;
-            return Journal_line_kind::task;
-        }
-    } catch (const Parse_error&) {
-    }
-    return Journal_line_kind::invalid;
-}
-
 std::uint64_t grid_fingerprint(const Sweep_grid& grid)
 {
     const std::string canonical = grid_to_json(grid);
@@ -500,6 +476,8 @@ Journal_contents load_journal(const std::string& path)
     contents.dropped_lines = torn;
     bool have_header = false;
     for (std::size_t i = 1; i < lines.size(); ++i) {
+        if (lines[i] == journal_magic)
+            continue; // a mirror's replay from byte 0 (Journal_tailer::poll)
         std::string payload;
         if (!check_stamped_line(lines[i], payload)) {
             ++contents.dropped_lines;
@@ -598,6 +576,11 @@ std::vector<Journal_entry> Journal_tailer::poll()
             }
             continue;
         }
+        // A worker resumed under `--journal-stream` copies its journal
+        // from byte 0 again, so a mirror repeats the magic (and header)
+        // mid-file; the repeats carry nothing new.
+        if (line == journal_magic)
+            continue;
         std::string payload;
         if (!check_stamped_line(line, payload)) {
             ++dropped_lines_;

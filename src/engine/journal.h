@@ -50,8 +50,8 @@ std::uint64_t grid_fingerprint(const Sweep_grid& grid);
 
 // ---- line primitives --------------------------------------------------
 // Shared by every CRC-stamped line format in the engine: the journal
-// itself, the coordinator's anc.fleet.v1 state journal (engine/fleet.h),
-// and the anc.jstream.v1 frame payload checks (engine/jstream.h).
+// itself and the coordinator's anc.fleet.v1 state journal
+// (engine/fleet.h).
 
 /// Byte-wise CRC-32/IEEE (reflected).  util/crc.h works on bit-per-byte
 /// spans (the PHY's framing domain); journal lines are ordinary byte
@@ -64,17 +64,6 @@ std::string stamp_line(const std::string& payload);
 /// Split off the 8-hex CRC prefix of a line (no trailing newline) and
 /// verify it; false on any defect.
 bool check_stamped_line(const std::string& line, std::string& payload);
-
-/// What one raw journal line is — the jstream listener's ingest filter
-/// (engine/jstream.h): it mirrors remote lines into a local journal
-/// file and must recognize duplicates (replays after a reconnect)
-/// without trusting the sender.  `magic` matches the bare magic line;
-/// `header`/`task` additionally require the CRC stamp and a full
-/// parse; anything else is `invalid`.  For `task` lines, `task_index`
-/// (when non-null) receives the entry's global index — the dedup key.
-enum class Journal_line_kind { magic, header, task, invalid };
-Journal_line_kind classify_journal_line(const std::string& line,
-                                        std::uint64_t* task_index = nullptr);
 
 struct Journal_header {
     std::uint64_t grid_hash = 0;
@@ -168,7 +157,9 @@ bool journal_compatible(const Journal_header& header, const Sweep_grid& grid,
 /// created its journal) and a file that shrank or was replaced (the
 /// parse restarts from byte 0; callers dedup entries by task index, so
 /// re-delivery is harmless).  CRC-failed or unparseable complete lines
-/// are dropped and counted exactly as load_journal drops them.
+/// are dropped and counted exactly as load_journal drops them.  A
+/// repeated magic line (a streamed worker's replay from byte 0 into
+/// its mirror) is skipped, as is any header after the first.
 ///
 /// entries_seen() is the liveness watermark: it advances monotonically
 /// with every valid task entry, so "no watermark movement within the

@@ -45,8 +45,6 @@ struct Alice_bob_gains {
 /// Install the four directed links; Alice and Bob are out of range of
 /// each other (no direct link).
 void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
-                       const Alice_bob_gains& gains, Pcg32& rng);
-void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
                        const Alice_bob_gains& gains, const Link_fading& fading,
                        Pcg32& rng);
 
@@ -65,8 +63,6 @@ struct Chain_gains {
 
 /// Adjacent nodes are linked both ways; nodes two or more hops apart are
 /// out of radio range (N4 never hears N1 — the premise of §2(b)).
-void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
-                   const Chain_gains& gains, Pcg32& rng);
 void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
                    const Chain_gains& gains, const Link_fading& fading, Pcg32& rng);
 
@@ -100,8 +96,6 @@ struct X_gains {
     std::optional<double> overhear_detection_threshold_db = 9.0;
 };
 
-void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
-               Pcg32& rng);
 void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
                const Link_fading& fading, Pcg32& rng);
 

@@ -34,12 +34,6 @@ struct X_config {
     /// byte-identical to the historical runs.
     dsp::Math_profile math_profile = dsp::Math_profile::exact;
     std::uint64_t seed = 1;
-    // The snooping detection threshold moved to the Medium layer: it is
-    // now the *per-link* AGC threshold installed on the overhear links
-    // (net::X_gains::overhear_detection_threshold_db; queried back here
-    // through chan::Medium::detection_threshold_db).  ANC's
-    // under-interference snooping keeps the standard detector (see
-    // run_x_anc).
 };
 
 struct X_result {

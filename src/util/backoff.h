@@ -1,13 +1,12 @@
 // Exponential backoff with full jitter, for retry loops that must not
-// stampede: the jstream sender's reconnect attempts, the coordinator's
-// per-shard relaunch escalation.
+// stampede: the coordinator's per-shard relaunch escalation.
 //
 // The delay sequence is the classic capped exponential
 // (initial * multiplier^n, clamped to max); with full_jitter each wait
 // is drawn uniformly from [0, that bound] ("full jitter" in the AWS
-// architecture-blog taxonomy), which decorrelates a fleet of workers
-// all reconnecting after the same coordinator restart.  The jitter
-// stream is a private SplitMix64 seeded by the caller, so a given
+// architecture-blog taxonomy), which decorrelates a fleet of shards
+// all relaunching after the same outage.  The jitter stream is a
+// private SplitMix64 seeded by the caller, so a given
 // (policy, seed) pair replays the exact same delays — tests and the
 // deterministic chaos harness need no sleeps and no mocking.
 //

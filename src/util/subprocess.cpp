@@ -10,8 +10,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "util/net.h"
-
 namespace anc::util {
 
 namespace {
@@ -27,6 +25,16 @@ pid_t waitpid_retry(pid_t pid, int* status, int flags)
         got = ::waitpid(pid, status, flags);
     } while (got < 0 && errno == EINTR);
     return got;
+}
+
+/// Process-wide SIG_IGN for SIGPIPE; idempotent.  A supervisor whose
+/// worker died mid-pipe must see EPIPE, not die of the signal.  The
+/// disposition is inherited across exec, so spawned workers see EPIPE
+/// too when their stdout breaks (anc_sweep --journal-stream stops on
+/// it).
+void ignore_sigpipe()
+{
+    ::signal(SIGPIPE, SIG_IGN);
 }
 
 /// Signal the child's whole process group, falling back to the child

@@ -237,7 +237,7 @@ TEST(OpsInPlace, MediumReceiveIntoMatchesReceive)
         net::Alice_bob_nodes nodes;
         net::Alice_bob_gains gains;
         Pcg32 link_rng{78, 4};
-        install_alice_bob(medium, nodes, gains, link_rng);
+        install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
         return medium;
     };
     chan::Medium value_medium = build();

@@ -1,9 +1,9 @@
 // The multi-process sweep coordinator (engine/coordinator.h), driven
 // hermetically through the Worker_launcher seam: fake workers are
-// /bin/sh one-liners that publish prebuilt shard journals, hang, or
-// crash — so watchdog kills, reassignment, work stealing, and the
-// merge-equivalence guarantee are all exercised without racing real
-// sweeps.
+// /bin/sh one-liners that publish prebuilt shard journals (or echo them
+// to stdout, as streamed workers), hang, or crash — so watchdog kills,
+// reassignment, work stealing, and the merge-equivalence guarantee are
+// all exercised without racing real sweeps.
 
 #include "engine/coordinator.h"
 
@@ -14,8 +14,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/emit.h"
@@ -122,6 +122,21 @@ Worker_launcher script_launcher(
             log->push_back(request);
         return util::Subprocess::spawn({"/bin/sh", "-c", script_for(request)});
     };
+}
+
+/// A template launcher whose fake workers echo the journal at {journal}
+/// (the worker side) to stdout, as `anc_sweep --journal-stream` would.
+Worker_launcher echo_launcher(const std::string& work_dir)
+{
+    return template_launcher("exec cat {journal}", "", {}, 1, work_dir);
+}
+
+std::string slurp(const std::string& path)
+{
+    std::ifstream in{path, std::ios::binary};
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
 }
 
 /// The single-process reference document the coordinator must match.
@@ -377,6 +392,13 @@ TEST(Coordinator, RejectsInvalidConfig)
         script_launcher([](const Worker_request&) { return std::string{"exit 0"}; });
     EXPECT_THROW(run_coordinated(grid, registry, 1, zero_workers),
                  std::invalid_argument);
+
+    // A zero window would kill every worker on its first poll.
+    Coordinator_config zero_heartbeat = base_config("/tmp", 2, 2);
+    zero_heartbeat.heartbeat_timeout = std::chrono::milliseconds{0};
+    zero_heartbeat.launcher = zero_workers.launcher;
+    EXPECT_THROW(run_coordinated(grid, registry, 1, zero_heartbeat),
+                 std::invalid_argument);
 }
 
 TEST(Coordinator, StreamsRowsInOrderWithoutCollecting)
@@ -576,46 +598,136 @@ TEST(Coordinator, StreamedShardsMergeByteIdenticalToDirectRun)
     ::system(("mkdir -p '" + remote + "'").c_str());
 
     // Worker-side journals live in `remote` (another host, in spirit);
-    // the only road to the coordinator's work dir is the jstream
-    // listener.  Fake workers just hold their slot open while
-    // in-process sender threads stream the prebuilt journals.
+    // the only road to the coordinator's work dir is each worker's
+    // stdout, which the launcher appends to the shard's mirror.
     for (std::size_t k = 1; k <= 2; ++k)
         prebuild_shard(grid, registry, seed, k, 2, shard_journal_path(remote, k));
 
-    Jstream_listener listener{0, dir.path, 2};
-    std::vector<Worker_request> log;
     Coordinator_config config = base_config(dir.path, 2, 2);
-    config.listener = &listener;
-    config.worker_stream = "127.0.0.1:" + std::to_string(listener.port());
     config.worker_journal_dir = remote;
-    config.launcher = script_launcher(
-        [](const Worker_request&) { return std::string{"sleep 1"}; }, &log);
-
-    std::vector<std::thread> senders;
-    for (std::size_t k = 1; k <= 2; ++k)
-        senders.emplace_back([&, k] {
-            Jstream_sender::Config sc;
-            sc.peer = {"127.0.0.1", listener.port()};
-            sc.shard_index = k;
-            sc.shard_count = 2;
-            Jstream_sender sender{sc, shard_journal_path(remote, k)};
-            sender.finish(std::chrono::seconds{10});
-        });
+    config.launcher = echo_launcher(dir.path);
     const Coordinator_outcome outcome = run_coordinated(grid, registry, seed, config);
-    for (std::thread& t : senders)
-        t.join();
 
     EXPECT_TRUE(outcome.completed);
-    EXPECT_EQ(outcome.stats.transport.connects, 2u);
-    EXPECT_GT(outcome.stats.transport.lines_appended, 0u);
-    EXPECT_EQ(outcome.stats.transport.invalid_lines, 0u);
-    for (const Worker_request& request : log) {
-        EXPECT_EQ(request.stream, config.worker_stream);
-        EXPECT_EQ(request.journal_path,
-                  shard_journal_path(remote, request.shard_index));
-    }
+    EXPECT_EQ(outcome.stats.launches, 2u);
+    EXPECT_EQ(outcome.stats.dropped_lines, 0u);
+    for (std::size_t k = 1; k <= 2; ++k)
+        EXPECT_EQ(slurp(shard_journal_path(dir.path, k)),
+                  slurp(shard_journal_path(remote, k)));
     EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
               reference_json(grid, registry, seed));
+}
+
+TEST(Coordinator, TornMirrorTailIsNeutralizedNotSplicedInto)
+{
+    const Scenario_registry registry = noisy_registry();
+    const Sweep_grid grid = small_grid();
+    const std::uint64_t seed = 43;
+    Temp_dir dir{"coord_torn"};
+    const std::string remote = dir.path + "/remote";
+    ::system(("mkdir -p '" + remote + "'").c_str());
+    prebuild_shard(grid, registry, seed, 1, 1, shard_journal_path(remote, 1));
+    const std::string bytes = slurp(shard_journal_path(remote, 1));
+    const std::string mirror = shard_journal_path(dir.path, 1);
+
+    // A link severed mid-line left the mirror ending in a fragment; the
+    // relaunched worker replays its whole journal into it.
+    const std::size_t last_line = bytes.rfind('\n', bytes.size() - 2) + 1;
+    struct Tear {
+        const char* where;
+        std::size_t cut;
+        std::string mirror_after; ///< what the mirror must hold at the end
+        std::size_t dropped;
+    };
+    const Tear tears[] = {
+        // Terminated, "anc.jou" would fail the magic check forever.
+        {"inside the magic line", 7, bytes, 0},
+        // Terminated, the fragment is one corrupt line; unterminated,
+        // the replay's first line would splice onto it.
+        {"mid-entry", last_line + (bytes.size() - last_line) / 2,
+         bytes.substr(0, last_line + (bytes.size() - last_line) / 2) + "\n" + bytes,
+         1},
+    };
+    for (const Tear& tear : tears) {
+        SCOPED_TRACE(tear.where);
+        {
+            std::ofstream out{mirror, std::ios::binary | std::ios::trunc};
+            out << bytes.substr(0, tear.cut);
+        }
+        Coordinator_config config = base_config(dir.path, 1, 1);
+        config.worker_journal_dir = remote;
+        config.launcher = echo_launcher(dir.path);
+        const Coordinator_outcome outcome =
+            run_coordinated(grid, registry, seed, config);
+
+        EXPECT_TRUE(outcome.completed);
+        EXPECT_EQ(outcome.stats.launches, 1u);
+        EXPECT_EQ(outcome.stats.dropped_lines, tear.dropped);
+        EXPECT_EQ(slurp(mirror), tear.mirror_after);
+        EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
+                  reference_json(grid, registry, seed));
+    }
+}
+
+TEST(Coordinator, WorkDirSpelledDifferentlyIsNotStreamed)
+{
+    const Scenario_registry registry = noisy_registry();
+    const Sweep_grid grid = small_grid();
+    const std::uint64_t seed = 45;
+    Temp_dir dir{"coord_samedir"};
+    for (std::size_t k = 1; k <= 2; ++k)
+        prebuild_shard(grid, registry, seed, k, 2, dir.path + "/pre" + std::to_string(k));
+
+    // "<work_dir>/." is work_dir: streaming a worker's journal into its
+    // own mirror would feed the file into itself.
+    std::vector<Worker_request> log;
+    Coordinator_config config = base_config(dir.path, 2, 2);
+    config.worker_journal_dir = dir.path + "/.";
+    config.launcher = script_launcher(
+        [&](const Worker_request& r) {
+            return publish_script(dir.path + "/pre" + std::to_string(r.shard_index),
+                                  r.journal_path);
+        },
+        &log);
+    EXPECT_TRUE(run_coordinated(grid, registry, seed, config).completed);
+    ASSERT_EQ(log.size(), 2u);
+    for (const Worker_request& request : log)
+        EXPECT_EQ(request.journal_path,
+                  shard_journal_path(dir.path, request.shard_index));
+}
+
+TEST(TemplateLauncher, SubstitutesEveryPlaceholderInOnePass)
+{
+    Temp_dir dir{"tpl_subst"};
+    const std::string out = dir.path + "/argv";
+    // {grid} carries a placeholder-shaped flag: substituted values are
+    // never rescanned.  `${...}` and non-name braces belong to the shell.
+    const Worker_launcher launch = template_launcher(
+        "printf '%s|' {worker} {grid} {threads} {shard}/{shards} {journal} "
+        "{journal_flag} {attempt} {slot} \"${ANC_UNSET_VAR:-shell}\" '{a b}' > '"
+            + out + "'",
+        "bin", {"--snr", "{slot}"}, 3, dir.path);
+    Worker_request request;
+    request.shard_index = 2;
+    request.shard_count = 5;
+    request.journal_path = shard_journal_path(dir.path, 2);
+    request.resume = true;
+    request.attempt = 4;
+    request.slot = 1;
+    util::Subprocess child = launch(request);
+    EXPECT_EQ(child.wait(), 0);
+    EXPECT_EQ(slurp(out), "bin|--snr|{slot}|3|2/5|" + request.journal_path
+                              + "|--resume|4|1|shell|{a b}|");
+}
+
+TEST(TemplateLauncher, RefusesUnknownPlaceholders)
+{
+    for (const char* bad : {"exec {worker} {stream}", "exec {worker} {jornal}",
+                            "{Shard}"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(template_launcher(bad, "bin", {}, 1, "/tmp"),
+                     std::invalid_argument);
+    }
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 // Journal_tailer edge cases (engine/journal.h): the coordinator's
 // liveness watermark must survive everything a racing worker (or a
-// jstream mirror writer) can do to the file under it — replacement,
-// shrinkage, torn tails that later complete, bursty appends — plus the
-// classify_journal_line ingest filter the jstream listener dedups with.
+// worker streaming into a mirror) can do to the file under it —
+// replacement, shrinkage, torn tails that later complete, bursty
+// appends, replays from byte 0.
 
 #include "engine/journal.h"
 
@@ -199,44 +199,24 @@ TEST(JournalTailer, ShrunkFileNeverWedgesTheWatermark)
     EXPECT_GT(tailer.entries_seen(), before);
 }
 
-TEST(JournalClassify, RecognizesEveryLineKind)
+TEST(JournalTailer, ReplayFromByteZeroAddsNoDroppedLines)
 {
-    Temp_path scratch{"classify_src.anj"};
+    Temp_path scratch{"tailer_replay_src.anj"};
     const Built_journal built = build_journal(scratch.path);
 
-    std::istringstream lines{built.bytes};
-    std::string line;
-    std::size_t line_no = 0;
-    std::vector<std::uint64_t> task_indices;
-    while (std::getline(lines, line)) {
-        std::uint64_t index = 0;
-        const Journal_line_kind kind = classify_journal_line(line, &index);
-        if (line_no == 0)
-            EXPECT_EQ(kind, Journal_line_kind::magic);
-        else if (line_no == 1)
-            EXPECT_EQ(kind, Journal_line_kind::header);
-        else {
-            EXPECT_EQ(kind, Journal_line_kind::task);
-            task_indices.push_back(index);
-        }
-        ++line_no;
-    }
-    ASSERT_EQ(task_indices.size(), built.contents.entries.size());
-    for (std::size_t i = 0; i < task_indices.size(); ++i)
-        EXPECT_EQ(task_indices[i], built.contents.entries[i].index);
+    // A resumed `--journal-stream` worker copies its whole journal into
+    // the mirror again: magic, header, then every entry a second time.
+    Temp_path live{"tailer_replay.anj"};
+    write_bytes(live.path, built.bytes + built.bytes);
 
-    // Defects in any position are invalid, never misclassified.
-    EXPECT_EQ(classify_journal_line(""), Journal_line_kind::invalid);
-    EXPECT_EQ(classify_journal_line("not a journal line"),
-              Journal_line_kind::invalid);
-    std::istringstream again{built.bytes};
-    std::getline(again, line);       // magic
-    std::getline(again, line);       // header, CRC-stamped
-    std::string tampered = line;
-    tampered.back() ^= 1;            // payload byte changed, CRC now stale
-    EXPECT_EQ(classify_journal_line(tampered), Journal_line_kind::invalid);
-    EXPECT_EQ(classify_journal_line(line.substr(0, line.size() / 2)),
-              Journal_line_kind::invalid);
+    Journal_tailer tailer{live.path};
+    EXPECT_EQ(tailer.poll().size(), 2 * built.contents.entries.size());
+    EXPECT_EQ(tailer.dropped_lines(), 0u);
+    EXPECT_FALSE(tailer.bad_magic());
+
+    const Journal_contents loaded = load_journal(live.path);
+    EXPECT_EQ(loaded.entries.size(), 2 * built.contents.entries.size());
+    EXPECT_EQ(loaded.dropped_lines, 0u);
 }
 
 } // namespace

@@ -1,11 +1,17 @@
 // Cross-module integration checks: the paper's headline *relations* must
-// hold on small runs (the benches reproduce the full-scale numbers).
+// hold on small runs (the benches reproduce the full-scale numbers), and
+// the §11.3 headline gains must land within a tolerance declared before
+// the check existed.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
 
 #include "phy/frame.h"
 
 #include "capacity/capacity.h"
+#include "engine/engine.h"
 #include "sim/alice_bob.h"
 #include "sim/chain.h"
 #include "sim/x_topology.h"
@@ -126,6 +132,47 @@ TEST(EndToEnd, AncBerWellUnderFecBudget)
     config.seed = 47;
     const auto result = run_alice_bob_anc(config);
     EXPECT_LT(result.metrics.mean_ber(), 0.08);
+}
+
+TEST(EndToEnd, HeadlineGainsWithinTenPercentOfThePaper)
+{
+    // §11.3's four throughput gains, measured as summary_table measures
+    // them: every topology and scheme at 22 dB, 10 runs x 20 packets,
+    // the exact profile, base seed 100, mean of the per-run paired
+    // gains.  Tolerance |measured / paper - 1| <= 0.10, fixed before the
+    // first measurement; a miss is reported, never re-seeded away.
+    engine::Sweep_grid grid;
+    grid.math_profiles = {dsp::Math_profile::exact};
+    grid.scenarios = {"alice_bob", "x_topology", "chain"};
+    grid.snr_db = {22.0};
+    grid.exchanges = {20};
+    grid.repetitions = 10;
+    engine::Executor_config exec;
+    exec.base_seed = 100;
+    const engine::Sweep_outcome outcome = engine::run_grid(grid, exec);
+
+    struct Claim {
+        const char* name;
+        const char* scenario;
+        const char* baseline;
+        double paper;
+    };
+    const Claim claims[] = {
+        {"Alice-Bob gain over traditional", "alice_bob", "traditional", 1.70},
+        {"Alice-Bob gain over COPE", "alice_bob", "cope", 1.30},
+        {"X gain over traditional", "x_topology", "traditional", 1.65},
+        {"chain gain over traditional", "chain", "traditional", 1.36},
+    };
+    constexpr double tolerance = 0.10;
+    for (const Claim& claim : claims) {
+        const double measured = engine::paired_gain(outcome.tasks, outcome.points,
+                                                    claim.scenario, "anc",
+                                                    claim.baseline)
+                                    .mean();
+        std::printf("%-34s paper %.2f  measured %.3f  (%+.1f%%)\n", claim.name,
+                    claim.paper, measured, 100.0 * (measured / claim.paper - 1.0));
+        EXPECT_LE(std::abs(measured / claim.paper - 1.0), tolerance) << claim.name;
+    }
 }
 
 } // namespace

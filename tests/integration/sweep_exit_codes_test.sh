@@ -4,12 +4,17 @@
 #   3  task errors or merge gaps    4  interrupted by signal
 # plus the machine-greppable one-line summary
 #   "anc_sweep: N ok, N error, N skipped, resumed N[ [interrupted]]"
-# that must land on stderr on every path, --quiet included.
+# that must land on stderr on every path, --quiet included.  Also the
+# anc_coordinator refusals of a config that could never supervise
+# (exit 2), and a --journal-stream worker stopping when its stdout
+# breaks.
 #
-# usage: sweep_exit_codes_test.sh /path/to/anc_sweep
+# usage: sweep_exit_codes_test.sh /path/to/anc_sweep /path/to/anc_coordinator
 set -eu
 
-SWEEP=${1:?usage: sweep_exit_codes_test.sh /path/to/anc_sweep}
+USAGE="usage: sweep_exit_codes_test.sh SWEEP COORD"
+SWEEP=${1:?$USAGE}
+COORD=${2:?$USAGE}
 WORKDIR=$(mktemp -d "${TMPDIR:-/tmp}/anc_exit_codes.XXXXXX")
 PID=
 cleanup() {
@@ -52,6 +57,55 @@ grep -q "^error: .*payload_bits" stderr.log
 # shellcheck disable=SC2086
 [ "$(rc "$SWEEP" $GRID --math-profile simd)" = 2 ]
 grep -q "^error: .*simd.*fast" stderr.log
+# --journal-stream copies a journal, so it needs one.
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --journal-stream)" = 2 ]
+grep -q "^error: --journal-stream needs --journal" stderr.log
+# ...and refuses to copy it into itself (an endless loop).
+STATUS=0
+# shellcheck disable=SC2086
+"$SWEEP" $GRID --journal self.anj --journal-stream >> self.anj 2>stderr.log \
+    || STATUS=$?
+[ "$STATUS" = 2 ]
+grep -q "^error: --journal-stream: stdout is the journal itself" stderr.log
+
+echo "== exit 2: anc_coordinator configs that cannot supervise"
+# shellcheck disable=SC2086
+[ "$(rc "$COORD" --worker "$SWEEP" --work-dir wd_hb $GRID --heartbeat-ms 0)" = 2 ]
+grep -q "heartbeat" stderr.log
+# An unknown placeholder (a typo, or the retired {stream}) is refused
+# before anything launches, instead of reaching /bin/sh as text.
+for BAD in "{jornal}" "{stream}"; do
+    # shellcheck disable=SC2086
+    [ "$(rc "$COORD" --worker "$SWEEP" --work-dir wd_tpl $GRID \
+        --launch-template "exec {worker} {grid} {journal_flag} $BAD")" = 2 ]
+    grep -q "unknown placeholder $BAD" stderr.log
+done
+[ ! -e wd_tpl/shard1.anj ]
+
+echo "== a --journal-stream worker whose stdout breaks stops (exit 4)"
+# SIGPIPE ignored, as under anc_coordinator (util/subprocess.cpp): the
+# worker sees EPIPE, not the signal.  The link carries 64 bytes (inside
+# the header line), then is gone; the worker must not go on computing.
+BROKEN="--scenario alice_bob --snr 10:40:1 --repetitions 6 --exchanges 40 \
+        --payload-bits 512 --seed 99 --quiet"
+(
+    trap '' PIPE
+    # shellcheck disable=SC2086
+    { STATUS=0
+      "$SWEEP" $BROKEN --threads 1 --journal broken.anj --journal-stream \
+          2>broken.log || STATUS=$?
+      echo "$STATUS" > broken.status; } | head -c 64 > broken.head
+)
+[ "$(cat broken.status)" = 4 ] || {
+    echo "FAIL: worker with a broken stdout exited $(cat broken.status)" >&2
+    exit 1
+}
+grep -q "journal-stream: stdout: Broken pipe" broken.log
+grep -q "\[interrupted\]" broken.log
+[ "$(wc -c < broken.head)" = 64 ]
+# 558 tasks in the grid; the worker stopped after a handful.
+[ "$(wc -l < broken.anj)" -lt 20 ]
 
 echo "== exit 2: incompatible resume journal (different seed)"
 # shellcheck disable=SC2086

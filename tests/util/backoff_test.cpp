@@ -1,7 +1,7 @@
 // util::Backoff (util/backoff.h): the capped-exponential-with-jitter
-// schedule behind worker reconnects (engine/jstream.h) and coordinator
-// shard relaunches (engine/coordinator.h).  Nothing here sleeps — the
-// class only computes delays, which is what makes these tests exact.
+// schedule behind coordinator shard relaunches (engine/coordinator.h).
+// Nothing here sleeps — the class only computes delays, which is what
+// makes these tests exact.
 
 #include "util/backoff.h"
 

@@ -36,6 +36,11 @@
 // every exact stage).  The baseline gate then checks only the measured
 // stages — a missing *measured* stage still fails it.
 //
+// The packet_detect / interference_analyze stages time the receiver
+// front end's two energy scans (phy/detector.h) over a frame-sized
+// collision stream; they have no _fast twin because every profile runs
+// the same exact-shared lane kernels.
+//
 // The pilot_search / pilot_search_packed pair times phy::find_pattern's
 // historical byte-per-bit scan against the packed bit-domain scan
 // (PERF.md "Bit-domain pilot search") in bits per second over the same
@@ -87,6 +92,7 @@
 #include "dsp/ops.h"
 #include "dsp/workspace.h"
 #include "net/topology.h"
+#include "phy/detector.h"
 #include "phy/pilot.h"
 #include "sim/alice_bob.h"
 #include "util/bits.h"
@@ -132,14 +138,26 @@ void* operator new[](std::size_t size, std::align_val_t align)
     return ::operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+// Out of line: inlined into a caller that GCC also sees calling operator
+// new, the free() reads as a mismatched deallocation
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -354,6 +372,59 @@ Stage_result bench_interference_decode(double min_seconds, dsp::Math_profile pro
                       received.size(), 2, min_seconds, [&] {
         decoder.decode_into(received, known_diffs, 0.95, 0.90, *bits,
                             *phi_differences, *match_errors);
+    });
+}
+
+/// A received collision stream: two frames overlapped at the router,
+/// with silence (noise) before, between their starts and after — the
+/// stream the receiver front end scans.
+dsp::Signal collision_stream(double noise_power)
+{
+    Pcg32 rng{31, 9};
+    chan::Medium medium{noise_power, rng.fork(1)};
+    net::Alice_bob_nodes nodes;
+    net::Alice_bob_gains gains;
+    Pcg32 link_rng = rng.fork(2);
+    install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
+    const dsp::Msk_modulator modulator{1.0, 0.0};
+    const dsp::Signal signal_a = modulator.modulate(frame_sized_bits(bench_frame_bits, 0x50));
+    const dsp::Signal signal_b = modulator.modulate(frame_sized_bits(bench_frame_bits, 0x51));
+    const std::vector<chan::Transmission> on_air{{nodes.alice, signal_a, 64},
+                                                 {nodes.bob, signal_b, 400}};
+    dsp::Signal received;
+    medium.receive_into(nodes.router, on_air, 64, received);
+    return received;
+}
+
+Stage_result bench_packet_detect(double min_seconds)
+{
+    // Energy detection over the whole received stream (§7.1): the
+    // mean-energy scan and its threshold mask, exact-shared (no profile
+    // suffix: every profile runs the same kernels).
+    const double noise_power = chan::noise_power_for_snr_db(bench_snr_db);
+    const dsp::Signal received = collision_stream(noise_power);
+    const phy::Packet_detector detector{noise_power};
+    return time_stage("packet_detect", received.size(), 2, min_seconds, [&] {
+        if (!detector.detect(received))
+            std::fprintf(stderr, "warning: packet detector missed the stream\n");
+    });
+}
+
+Stage_result bench_interference_analyze(double min_seconds)
+{
+    // The collision check over the detected packet: the mean/variance
+    // scan, the excess-variance ratio, its threshold mask and the
+    // overlap envelope.
+    const double noise_power = chan::noise_power_for_snr_db(bench_snr_db);
+    const dsp::Signal received = collision_stream(noise_power);
+    const auto bounds = phy::Packet_detector{noise_power}.detect(received);
+    const dsp::Signal_view packet =
+        bounds ? dsp::Signal_view{received}.subspan(bounds->begin, bounds->size())
+               : dsp::Signal_view{received};
+    const phy::Interference_detector analyzer{noise_power};
+    return time_stage("interference_analyze", packet.size(), 2, min_seconds, [&] {
+        if (!analyzer.analyze(packet).interfered)
+            std::fprintf(stderr, "warning: analyzer missed the collision\n");
     });
 }
 
@@ -630,6 +701,9 @@ int main(int argc, char** argv)
         {"mix_fast", [](double s, bool) { return bench_mix(s, fast); }},
         {"fading_mix", [](double s, bool) { return bench_fading_mix(s); }},
         {"relay", [](double s, bool) { return bench_relay(s); }},
+        {"packet_detect", [](double s, bool) { return bench_packet_detect(s); }},
+        {"interference_analyze",
+         [](double s, bool) { return bench_interference_analyze(s); }},
         {"demodulate", [](double s, bool) { return bench_demodulate(s); }},
         {"pilot_search", [](double s, bool) { return bench_pilot_search(s, false); }},
         {"pilot_search_packed",

@@ -5,7 +5,9 @@
 //   2. interference?     — the energy of a single MSK signal is nearly
 //      constant (constant envelope), so a large *variance* of the energy
 //      betrays a collision: |y|^2 swings between (A+B)^2 and (A-B)^2.
-// This module provides the moving-window scans those detectors consume.
+// This module provides those moving-window scans (on the simd lane
+// kernels; phy::Packet_detector and phy::Interference_detector run the
+// same kernels with their thresholds folded in).
 
 #pragma once
 
@@ -19,9 +21,9 @@ namespace anc::dsp {
 /// Instantaneous energy |y[n]|^2 for every sample.
 std::vector<double> sample_energies(Signal_view signal);
 
-/// As above, into a caller-owned buffer (cleared first) — the detectors
-/// feed this from a dsp::Workspace lease so the per-receive scans do not
-/// allocate in steady state.
+/// As above, into a caller-owned buffer (cleared first) — the amplitude
+/// estimator feeds this from a dsp::Workspace lease so its per-receive
+/// scans do not allocate in steady state.
 void sample_energies_into(Signal_view signal, std::vector<double>& out);
 
 /// Mean of |y|^2 over the whole signal (0 for an empty signal).
@@ -35,23 +37,14 @@ struct Energy_scan {
     std::size_t window = 0;
 };
 
-/// Compute the scan in O(len) using running sums of |y|^2 and |y|^4.
+/// Compute the scan in O(len) using running sums of |y|^2 and |y|^4
+/// (simd::window_stats).
 Energy_scan scan_energy(Signal_view signal, std::size_t window);
 
 /// As above, writing the window series into caller-owned buffers
-/// (cleared first) and using `scratch_energies` for the per-sample
-/// energies.  Bit-identical to scan_energy.
+/// (cleared first).  Bit-identical to scan_energy.
 void scan_energy_into(Signal_view signal, std::size_t window,
-                      std::vector<double>& scratch_energies,
                       std::vector<double>& window_mean,
                       std::vector<double>& window_variance);
-
-/// Mean series only — byte-identical to scan_energy_into's window_mean
-/// (the two sliding sums are independent chains) at roughly half the
-/// cost.  For consumers like the packet detector that never read the
-/// variance series.
-void scan_energy_mean_into(Signal_view signal, std::size_t window,
-                           std::vector<double>& scratch_energies,
-                           std::vector<double>& window_mean);
 
 } // namespace anc::dsp

@@ -1,9 +1,9 @@
 #include "dsp/msk.h"
 
-#include <cmath>
 #include <numbers>
 
 #include "util/phase.h"
+#include "util/simd.h"
 
 namespace anc::dsp {
 
@@ -106,37 +106,12 @@ void Msk_demodulator::demodulate_into(Signal_view signal, Bits& out) const
     out.clear();
     if (signal.size() < 2)
         return;
-    out.reserve(signal.size() - 1);
-    const double* data = reinterpret_cast<const double*>(signal.data());
-    for (std::size_t n = 0; n + 1 < signal.size(); ++n) {
-        // The historical rule is arg(y[n+1] * conj(y[n])) >= 0 — h and
-        // gamma cancel (Eq. 1), so no channel estimate is needed.  atan2
-        // is monotone in the quadrant structure, so the decision only
-        // depends on the signs of the ratio's parts:
-        //   im > 0            -> arg in (0, pi)      -> 1
-        //   im < 0            -> arg in (-pi, 0)     -> 0
-        //   im == +0.0        -> arg is +0 or +pi    -> 1
-        //   im == -0.0        -> arg is -0 (re >= +0) or -pi (re < 0)
-        //                        and -0.0 >= 0.0 holds -> signbit(re)
-        // The products below are exactly the ones std::complex
-        // multiplication performs, so the computed im/re match the old
-        // path bit for bit (samples are finite throughout the substrate).
-        const double ar = data[2 * n];
-        const double ai = data[2 * n + 1];
-        const double br = data[2 * n + 2];
-        const double bi = data[2 * n + 3];
-        const double im = br * -ai + bi * ar;
-        bool one = im > 0.0;
-        if (im == 0.0) {
-            if (!std::signbit(im)) {
-                one = true;
-            } else {
-                const double re = br * ar - bi * -ai;
-                one = !std::signbit(re);
-            }
-        }
-        out.push_back(one ? 1 : 0);
-    }
+    // The hard decisions are exact (sign tests on the products
+    // std::complex multiplication performs), so every profile shares
+    // the lane kernel; see simd::msk_decide for the signed-zero rule.
+    out.resize(signal.size() - 1);
+    simd::msk_decide(reinterpret_cast<const double*>(signal.data()), out.size(),
+                     out.data());
 }
 
 std::vector<double> Msk_demodulator::phase_differences(Signal_view signal) const

@@ -74,7 +74,7 @@ public:
     /// As above, into a caller-owned buffer (cleared first).  The
     /// decision is evaluated from the sign structure of the ratio's
     /// imaginary part — no atan2 — which is exactly equivalent to the
-    /// arg-based rule for finite samples (see the implementation note).
+    /// arg-based rule for finite samples (see simd::msk_decide).
     void demodulate_into(Signal_view signal, Bits& out) const;
 
     /// Soft output: the raw per-symbol phase differences, wrapped to

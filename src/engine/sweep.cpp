@@ -1,6 +1,7 @@
 #include "engine/sweep.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <sstream>
@@ -23,6 +24,15 @@ void require_positive(const std::vector<std::size_t>& values, const char* axis)
         throw std::invalid_argument{std::string{"Sweep_grid: axis '"} + axis
                                     + "' contains 0 (a run with nothing to "
                                       "send measures nothing)"};
+}
+
+void require_finite(const std::vector<double>& values, const char* axis)
+{
+    if (!std::all_of(values.begin(), values.end(),
+                     [](double value) { return std::isfinite(value); }))
+        throw std::invalid_argument{std::string{"Sweep_grid: axis '"} + axis
+                                    + "' contains a non-finite value (nan or inf "
+                                      "is no operating point)"};
 }
 
 /// The schemes this scenario contributes to the grid, in the scenario's
@@ -90,6 +100,11 @@ std::vector<Sweep_task> expand(const Sweep_grid& grid, const Scenario_registry& 
     require_non_empty(grid.repetitions > 0, "repetitions");
     require_positive(grid.payload_bits, "payload_bits");
     require_positive(grid.exchanges, "exchanges");
+    require_finite(grid.snr_db, "snr_db");
+    require_finite(grid.alice_amplitudes, "alice_amplitudes");
+    require_finite(grid.bob_amplitudes, "bob_amplitudes");
+    require_finite(grid.detector_thresholds_db, "detector_thresholds_db");
+    require_finite(grid.mean_link_gains, "mean_link_gains");
 
     // Every requested scheme must be meaningful somewhere in the grid.
     std::set<std::string> unmatched{grid.schemes.begin(), grid.schemes.end()};

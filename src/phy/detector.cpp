@@ -1,17 +1,74 @@
 #include "phy/detector.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <stdexcept>
 
-#include "dsp/energy_scan.h"
 #include "dsp/workspace.h"
 #include "util/db.h"
 #include "util/obs.h"
+#include "util/simd.h"
 
 namespace anc::phy {
+
+namespace {
+
+// The detectors get their windows' decisions as bitmasks (bit k % 64 of
+// word k / 64, from simd::mean_above_mask / simd::excess_ratio_mask,
+// which leave the bits past the last window clear) and walk the mask
+// words: an all-zero or all-one word costs one compare.
+
+/// First set bit at or after `from` in an n-bit mask, or n.
+std::size_t next_set(const std::uint64_t* mask, std::size_t n, std::size_t from)
+{
+    if (from >= n)
+        return n;
+    std::size_t word = from / 64;
+    std::uint64_t bits = mask[word] & (~std::uint64_t{0} << (from % 64));
+    const std::size_t words = (n + 63) / 64;
+    while (bits == 0) {
+        if (++word == words)
+            return n;
+        bits = mask[word];
+    }
+    return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
+
+/// First clear bit at or after `from` in an n-bit mask, or n.
+std::size_t next_clear(const std::uint64_t* mask, std::size_t n, std::size_t from)
+{
+    if (from >= n)
+        return n;
+    std::size_t word = from / 64;
+    std::uint64_t bits = ~mask[word] & (~std::uint64_t{0} << (from % 64));
+    const std::size_t words = (n + 63) / 64;
+    while (bits == 0) {
+        if (++word == words)
+            return n;
+        bits = ~mask[word];
+    }
+    return std::min(word * 64 + static_cast<std::size_t>(std::countr_zero(bits)), n);
+}
+
+/// Last set bit of an n-bit mask that has one.
+std::size_t last_set(const std::uint64_t* mask, std::size_t n)
+{
+    std::size_t word = (n + 63) / 64;
+    while (mask[--word] == 0) {
+    }
+    return word * 64 + 63 - static_cast<std::size_t>(std::countl_zero(mask[word]));
+}
+
+} // namespace
 
 Packet_detector::Packet_detector(double noise_power, Config config)
     : noise_power_{noise_power}, config_{config}
 {
+    if (config_.window == 0)
+        throw std::invalid_argument{"Packet_detector: window must be positive"};
+    if (!std::isfinite(config_.energy_threshold_db))
+        throw std::invalid_argument{"Packet_detector: threshold must be finite"};
 }
 
 std::optional<Packet_bounds> Packet_detector::detect(dsp::Signal_view signal) const
@@ -21,62 +78,23 @@ std::optional<Packet_bounds> Packet_detector::detect(dsp::Signal_view signal) co
         obs::count(obs::Counter::packet_detect_rejections);
         return std::nullopt;
     }
-    dsp::Workspace& workspace = dsp::Workspace::current();
-    auto energies = workspace.reals();
-    auto window_mean = workspace.reals();
-    // Mean-only scan: detection thresholds the window means and never
-    // reads the variance series, so skipping it halves the scan (the
-    // means are byte-identical — see scan_energy_mean_into).
-    dsp::scan_energy_mean_into(signal, config_.window, *energies, *window_mean);
-    const std::vector<double>& mean = *window_mean;
-    const double threshold = noise_power_ * from_db(config_.energy_threshold_db);
+    // Mean-only scan: detection never reads the variance series.
+    const std::size_t windows = signal.size() - config_.window + 1;
+    auto above = dsp::Workspace::current().words();
+    above->resize((windows + 63) / 64);
+    simd::mean_above_mask(reinterpret_cast<const double*>(signal.data()), windows,
+                          config_.window,
+                          noise_power_ * from_db(config_.energy_threshold_db),
+                          above->data());
 
-    // Threshold scans in a block-vectorizable form: the inner 8-wide
-    // any-above reduction has no break and compiles to vector compares,
-    // so the scan streams through the (mostly sub-threshold) head and
-    // tail at SIMD speed; only a hit block is re-scanned scalar.  The
-    // found indices are exactly the sequential scan's (first/last
-    // strictly-above window) — no FP arithmetic changes.
-    constexpr std::size_t block = 8;
-
-    // First window above threshold marks the packet head.
-    std::size_t first = mean.size();
-    std::size_t at = 0;
-    for (; at + block <= mean.size(); at += block) {
-        bool any = false;
-        for (std::size_t j = 0; j < block; ++j)
-            any |= mean[at + j] > threshold;
-        if (any)
-            break;
-    }
-    for (; at < mean.size(); ++at) {
-        if (mean[at] > threshold) {
-            first = at;
-            break;
-        }
-    }
-    if (first == mean.size()) {
+    // The first window above threshold marks the packet head, the last
+    // one its tail.
+    const std::size_t first = next_set(above->data(), windows, 0);
+    if (first == windows) {
         obs::count(obs::Counter::packet_detect_rejections);
         return std::nullopt;
     }
-
-    // Last window above threshold marks the tail.
-    std::size_t last = first;
-    std::size_t end = mean.size();
-    while (end - first >= block) {
-        bool any = false;
-        for (std::size_t j = 0; j < block; ++j)
-            any |= mean[end - block + j] > threshold;
-        if (any)
-            break;
-        end -= block;
-    }
-    for (std::size_t i = end; i-- > first;) {
-        if (mean[i] > threshold) {
-            last = i;
-            break;
-        }
-    }
+    const std::size_t last = last_set(above->data(), windows);
 
     obs::count(obs::Counter::packet_detect_triggers);
     Packet_bounds bounds;
@@ -88,6 +106,12 @@ std::optional<Packet_bounds> Packet_detector::detect(dsp::Signal_view signal) co
 Interference_detector::Interference_detector(double noise_power, Config config)
     : noise_power_{noise_power}, config_{config}
 {
+    if (config_.window == 0)
+        throw std::invalid_argument{"Interference_detector: window must be positive"};
+    if (config_.min_run == 0)
+        throw std::invalid_argument{"Interference_detector: min_run must be positive"};
+    if (!std::isfinite(config_.variance_threshold_db))
+        throw std::invalid_argument{"Interference_detector: threshold must be finite"};
 }
 
 Interference_report Interference_detector::analyze(dsp::Signal_view packet) const
@@ -98,73 +122,43 @@ Interference_report Interference_detector::analyze(dsp::Signal_view packet) cons
     if (packet.size() < config_.window)
         return report;
 
-    dsp::Workspace& workspace = dsp::Workspace::current();
-    auto energies = workspace.reals();
-    auto window_mean = workspace.reals();
-    auto window_variance = workspace.reals();
-    dsp::scan_energy_into(packet, config_.window, *energies, *window_mean,
-                          *window_variance);
-    const std::vector<double>& mean = *window_mean;
-    const std::vector<double>& variance = *window_variance;
-    const double threshold = from_db(config_.variance_threshold_db);
-    const double sigma2 = noise_power_;
-
-    // Hoist the per-window arithmetic — a max, two multiplies, and the
-    // divide that dominated this loop — out of the run-tracking scan
-    // into an element-wise pass that auto-vectorizes (4 divides per
-    // step).  The energies scratch is dead after scan_energy_into, so
-    // the ratios reuse it: no extra buffer, still zero allocations on a
-    // warm workspace.  Per-window values are bit-identical to the fused
-    // loop's (same operations, same order per element).
-    std::vector<double>& ratios = *energies;
-    ratios.resize(variance.size());
-    for (std::size_t i = 0; i < variance.size(); ++i) {
-        // Variance a clean constant-envelope signal of this power would
-        // show: cross term 2*|s|^2*sigma^2 plus the noise-energy variance
-        // sigma^4.  (|s|^2 ~ window mean minus the noise floor.)
-        const double signal_power = std::max(mean[i] - sigma2, 1e-12);
-        const double clean_variance = 2.0 * signal_power * sigma2 + sigma2 * sigma2;
-        ratios[i] = variance[i] / clean_variance;
-    }
-
-    // The overlap region is the *envelope* of every sustained
-    // above-threshold run.  A single collision can show transient dips:
-    // when the two carriers' relative phase drifts through +-pi/2 (CFO),
-    // cos(theta - phi) passes zero and the envelope is momentarily
-    // near-constant.  Taking the envelope instead of the longest run
-    // keeps those dips from splitting one collision into two.
-    std::size_t run = 0;
-    std::size_t run_start = 0;
-    std::size_t first_begin = 0;
-    std::size_t last_end = 0;
-    bool found = false;
-    // Track the peak ratio in linear space and convert to dB once at the
-    // end: log10 is monotone, so max-then-log equals log-then-max, and
-    // a per-window log10 was a measurable cost of every receive.  Ratios
-    // are non-negative, so this reduction is order-independent and the
-    // split from the run scan cannot change its value.
+    const std::size_t windows = packet.size() - config_.window + 1;
+    auto above = dsp::Workspace::current().words();
+    above->resize((windows + 63) / 64);
+    // The peak ratio is tracked in linear space and converted to dB once
+    // at the end: log10 is monotone, so max-then-log equals log-then-max.
     double peak_ratio = 1e-12;
-    for (std::size_t i = 0; i < ratios.size(); ++i) {
-        const double ratio = ratios[i];
-        peak_ratio = std::max(peak_ratio, ratio);
-        if (ratio > threshold) {
-            if (run == 0)
-                run_start = i;
-            ++run;
-            if (run >= config_.min_run) {
-                if (!found) {
-                    first_begin = run_start;
-                    found = true;
-                }
-                last_end = i + 1;
-            }
-        } else {
-            run = 0;
-        }
-    }
+    simd::excess_ratio_mask(reinterpret_cast<const double*>(packet.data()), windows,
+                            config_.window, noise_power_,
+                            from_db(config_.variance_threshold_db), above->data(),
+                            &peak_ratio);
     // Historical form: the running max started at 0 dB, so it never
     // reported below zero.
     report.peak_ratio_db = std::max(0.0, to_db(peak_ratio));
+
+    // The overlap region is the *envelope* of every above-threshold run
+    // of at least min_run windows.  A single collision can show
+    // transient dips: when the two carriers' relative phase drifts
+    // through +-pi/2 (CFO), cos(theta - phi) passes zero and the
+    // envelope is momentarily near-constant.  Taking the envelope
+    // instead of the longest run keeps those dips from splitting one
+    // collision into two; isolated spikes (packet edges) stay too short
+    // to count.
+    const std::uint64_t* mask = above->data();
+    std::size_t first_begin = 0;
+    std::size_t last_end = 0;
+    bool found = false;
+    for (std::size_t begin = next_set(mask, windows, 0); begin < windows;) {
+        const std::size_t end = next_clear(mask, windows, begin);
+        if (end - begin >= config_.min_run) {
+            if (!found) {
+                first_begin = begin;
+                found = true;
+            }
+            last_end = end;
+        }
+        begin = next_set(mask, windows, end);
+    }
 
     if (found) {
         obs::count(obs::Counter::interference_detected);

@@ -48,6 +48,8 @@ public:
         : Packet_detector{noise_power, Config{}}
     {
     }
+    /// Throws std::invalid_argument on window == 0 or a non-finite
+    /// threshold.
     Packet_detector(double noise_power, Config config);
 
     /// Bounds of the first packet in the stream, or nothing if the stream
@@ -83,6 +85,8 @@ public:
         : Interference_detector{noise_power, Config{}}
     {
     }
+    /// Throws std::invalid_argument on window == 0, min_run == 0 or a
+    /// non-finite threshold.
     Interference_detector(double noise_power, Config config);
 
     Interference_report analyze(dsp::Signal_view packet) const;

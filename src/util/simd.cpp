@@ -39,6 +39,32 @@ inline double distance_branchless(double a, double b)
     return std::abs(wrap_branchless(a - b));
 }
 
+/// Population variance from the scaled sum of squares; tiny negatives
+/// from cancellation clamp to zero (the comparison form keeps a -0.0
+/// exactly as the historical `if (variance < 0.0) variance = 0.0;` did).
+inline double clamped_variance(double scaled_sum_sq, double mean)
+{
+    const double variance = scaled_sum_sq - mean * mean;
+    return variance < 0.0 ? 0.0 : variance;
+}
+
+inline double energy_at(const double* interleaved_samples, std::size_t i)
+{
+    // Exactly std::norm: re*re + im*im.
+    return interleaved_samples[2 * i] * interleaved_samples[2 * i]
+           + interleaved_samples[2 * i + 1] * interleaved_samples[2 * i + 1];
+}
+
+inline double excess_ratio(double mean, double variance, double sigma2,
+                           double noise_variance)
+{
+    // Variance a clean constant-envelope signal of this power would
+    // show: cross term 2*|s|^2*sigma^2 plus the noise-energy variance
+    // sigma^4.  (|s|^2 ~ window mean minus the noise floor.)
+    const double signal_power = std::max(mean - sigma2, 1e-12);
+    return variance / (2.0 * signal_power * sigma2 + noise_variance);
+}
+
 } // namespace
 
 void atan2_batch_scalar(const double* y, const double* x, double* out,
@@ -186,6 +212,186 @@ void cmul_accumulate_scalar(const double* interleaved_in,
         const double ri = interleaved_rotors[2 * i + 1];
         interleaved_acc[2 * i] += re * rr - im * ri;
         interleaved_acc[2 * i + 1] += re * ri + im * rr;
+    }
+}
+
+namespace {
+
+/// Calls scan(scale) with the per-window divide of the scans.  x / 2^k
+/// and x · 2^-k round identically for every double (scaling by an exact
+/// power of two), so for a power-of-two window — both detector windows,
+/// 16 and 64 — the divide becomes a multiply without changing a bit.
+/// Two loop versions, so neither carries the other's arithmetic.
+/// (simd_lanes.cpp repeats this: the lane objects include no shared
+/// inline code.)
+template <class Scan>
+void with_window_scale(std::size_t window, Scan&& scan)
+{
+    const auto w = static_cast<double>(window);
+    if ((window & (window - 1)) == 0) {
+        const double inv_w = 1.0 / w;
+        scan([inv_w](double sum) { return sum * inv_w; });
+    } else {
+        scan([w](double sum) { return sum / w; });
+    }
+}
+
+/// The historical scan loop over windows [first, first + n), handing
+/// each window's (index, mean) to `sink`.
+template <class Sink>
+void means_loop(const double* samples, std::size_t first, std::size_t n,
+                std::size_t window, double* carry, Sink&& sink)
+{
+    double sum = *carry;
+    with_window_scale(window, [&](auto scale) {
+        std::size_t k = first;
+        if (k == 0 && n != 0) {
+            sum = 0.0;
+            for (std::size_t i = 0; i < window; ++i)
+                sum += energy_at(samples, i);
+            sink(k++, scale(sum));
+        }
+        for (; k < first + n; ++k) {
+            sum += energy_at(samples, k - 1 + window) - energy_at(samples, k - 1);
+            sink(k, scale(sum));
+        }
+    });
+    *carry = sum;
+}
+
+/// As means_loop with the second chain, handing (index, mean, variance).
+template <class Sink>
+void stats_loop(const double* samples, std::size_t first, std::size_t n,
+                std::size_t window, double* carry, Sink&& sink)
+{
+    double sum = carry[0];
+    double sum_sq = carry[1];
+    with_window_scale(window, [&](auto scale) {
+        const auto emit = [&](std::size_t k) {
+            const double mean = scale(sum);
+            sink(k, mean, clamped_variance(scale(sum_sq), mean));
+        };
+        std::size_t k = first;
+        if (k == 0 && n != 0) {
+            sum = 0.0;
+            sum_sq = 0.0;
+            for (std::size_t i = 0; i < window; ++i) {
+                const double e = energy_at(samples, i);
+                sum += e;
+                sum_sq += e * e;
+            }
+            emit(k++);
+        }
+        for (; k < first + n; ++k) {
+            const double in = energy_at(samples, k - 1 + window);
+            const double out = energy_at(samples, k - 1);
+            sum += in - out;
+            sum_sq += in * in - out * out;
+            emit(k);
+        }
+    });
+    carry[0] = sum;
+    carry[1] = sum_sq;
+}
+
+/// A mask scan's bits, collected in a register and stored a word at a
+/// time.  Every piece of a scan starts on a word boundary (split_scan),
+/// so each word is written once, by the piece that holds its windows.
+class Mask_bits {
+public:
+    explicit Mask_bits(std::uint64_t* mask) : mask_{mask} {}
+
+    void add(std::size_t k, bool on)
+    {
+        word_ |= static_cast<std::uint64_t>(on) << (k % 64);
+        if (k % 64 == 63) {
+            mask_[k / 64] = word_;
+            word_ = 0;
+        }
+    }
+
+    /// Stores the partial word of a piece that ends at window `end`.
+    void finish(std::size_t end)
+    {
+        if (end % 64 != 0)
+            mask_[end / 64] = word_;
+    }
+
+private:
+    std::uint64_t* mask_;
+    std::uint64_t word_ = 0;
+};
+
+} // namespace
+
+void window_stats_scalar(const double* samples, std::size_t first, std::size_t n,
+                         std::size_t window, double* carry, double* mean,
+                         double* variance)
+{
+    stats_loop(samples, first, n, window, carry,
+               [mean, variance](std::size_t k, double m, double v) {
+                   mean[k] = m;
+                   variance[k] = v;
+               });
+}
+
+void mean_above_mask_scalar(const double* samples, std::size_t first, std::size_t n,
+                            std::size_t window, double* carry, double threshold,
+                            std::uint64_t* mask)
+{
+    if (n == 0)
+        return;
+    Mask_bits bits{mask};
+    means_loop(samples, first, n, window, carry, [&](std::size_t k, double m) {
+        bits.add(k, m > threshold);
+    });
+    bits.finish(first + n);
+}
+
+void excess_ratio_mask_scalar(const double* samples, std::size_t first,
+                              std::size_t n, std::size_t window, double* carry,
+                              double noise_power, double threshold,
+                              std::uint64_t* mask, double* peak)
+{
+    if (n == 0)
+        return;
+    const double noise_variance = noise_power * noise_power;
+    double top = *peak;
+    Mask_bits bits{mask};
+    stats_loop(samples, first, n, window, carry,
+               [&](std::size_t k, double m, double v) {
+                   const double ratio = excess_ratio(m, v, noise_power, noise_variance);
+                   top = std::max(top, ratio);
+                   bits.add(k, ratio > threshold);
+               });
+    bits.finish(first + n);
+    *peak = top;
+}
+
+void msk_decide_scalar(const double* interleaved_samples, std::size_t transitions,
+                       std::uint8_t* bits)
+{
+    for (std::size_t n = 0; n < transitions; ++n) {
+        // The rule is arg(y[n+1] * conj(y[n])) >= 0 — h and gamma cancel
+        // (Eq. 1), so no channel estimate is needed.  atan2 is monotone
+        // in the quadrant structure, so the decision only depends on the
+        // signs of the ratio's parts:
+        //   im > 0            -> arg in (0, pi)      -> 1
+        //   im < 0            -> arg in (-pi, 0)     -> 0
+        //   im == +0.0        -> arg is +0 or +pi    -> 1
+        //   im == -0.0        -> arg is -0 (re >= +0) or -pi (re < 0)
+        //                        and -0.0 >= 0.0 holds -> !signbit(re)
+        // The products are exactly the ones std::complex multiplication
+        // performs, so im/re match the arg-based path bit for bit.
+        const double ar = interleaved_samples[2 * n];
+        const double ai = interleaved_samples[2 * n + 1];
+        const double br = interleaved_samples[2 * n + 2];
+        const double bi = interleaved_samples[2 * n + 3];
+        const double im = br * -ai + bi * ar;
+        bool one = im > 0.0;
+        if (im == 0.0)
+            one = !std::signbit(im) || !std::signbit(br * ar - bi * -ai);
+        bits[n] = one ? 1 : 0;
     }
 }
 
@@ -375,6 +581,89 @@ void cmul_accumulate(const double* interleaved_in, const double* interleaved_rot
     detail::cmul_accumulate_scalar(interleaved_in + 2 * head,
                                    interleaved_rotors + 2 * head,
                                    interleaved_acc + 2 * head, samples - head);
+}
+
+namespace {
+
+/// Runs windows [0, windows) of a detector scan in three pieces: the
+/// scalar code from window 0 (which has no predecessor) up to `granule`,
+/// the active lanes over whole granules, the scalar code over the rest —
+/// the running sums passed along in `carry`.  granule is a multiple of
+/// every lane width (and 64 for the masks).
+template <class Scalar, class Lanes>
+void split_scan(std::size_t windows, std::size_t granule, Scalar&& scalar,
+                Lanes&& lanes)
+{
+    const std::size_t lane_start = std::min(windows, granule);
+    scalar(std::size_t{0}, lane_start);
+    const std::size_t head = detail::active_lanes() == nullptr
+                                 ? 0
+                                 : (windows - lane_start) / granule * granule;
+    if (head != 0)
+        lanes(*detail::active_lanes(), lane_start, head);
+    scalar(lane_start + head, windows - lane_start - head);
+}
+
+} // namespace
+
+void window_stats(const double* interleaved_samples, std::size_t windows,
+                  std::size_t window, double* mean, double* variance)
+{
+    double carry[2] = {0.0, 0.0};
+    split_scan(
+        windows, 8,
+        [&](std::size_t first, std::size_t n) {
+            detail::window_stats_scalar(interleaved_samples, first, n, window, carry,
+                                        mean, variance);
+        },
+        [&](const detail::Lane_kernels& lanes, std::size_t first, std::size_t n) {
+            lanes.window_stats(interleaved_samples, first, n, window, carry, mean,
+                               variance);
+        });
+}
+
+void mean_above_mask(const double* interleaved_samples, std::size_t windows,
+                     std::size_t window, double threshold, std::uint64_t* mask)
+{
+    double carry = 0.0;
+    split_scan(
+        windows, 64,
+        [&](std::size_t first, std::size_t n) {
+            detail::mean_above_mask_scalar(interleaved_samples, first, n, window,
+                                           &carry, threshold, mask);
+        },
+        [&](const detail::Lane_kernels& lanes, std::size_t first, std::size_t n) {
+            lanes.mean_above_mask(interleaved_samples, first, n, window, &carry,
+                                  threshold, mask);
+        });
+}
+
+void excess_ratio_mask(const double* interleaved_samples, std::size_t windows,
+                       std::size_t window, double noise_power, double threshold,
+                       std::uint64_t* mask, double* peak)
+{
+    double carry[2] = {0.0, 0.0};
+    split_scan(
+        windows, 64,
+        [&](std::size_t first, std::size_t n) {
+            detail::excess_ratio_mask_scalar(interleaved_samples, first, n, window,
+                                             carry, noise_power, threshold, mask,
+                                             peak);
+        },
+        [&](const detail::Lane_kernels& lanes, std::size_t first, std::size_t n) {
+            lanes.excess_ratio_mask(interleaved_samples, first, n, window, carry,
+                                    noise_power, threshold, mask, peak);
+        });
+}
+
+void msk_decide(const double* interleaved_samples, std::size_t transitions,
+                std::uint8_t* bits)
+{
+    const std::size_t head = lane_head(transitions);
+    if (head != 0)
+        detail::active_lanes()->msk_decide(interleaved_samples, head, bits);
+    detail::msk_decide_scalar(interleaved_samples + 2 * head, transitions - head,
+                              bits + head);
 }
 
 } // namespace anc::simd

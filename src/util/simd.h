@@ -1,8 +1,9 @@
-// The lane-kernel backend of the fast math profile (dsp/math_profile.h).
+// The lane-kernel backend of the fast math profile (dsp/math_profile.h),
+// and of the exact-shared kernels every profile runs.
 //
-// Design contract — *bit-compatibility with the scalar fast kernels*:
-// every batch kernel here computes, per element, exactly the arithmetic
-// of its scalar counterpart in util/fastmath.h / util/rng.h (same
+// Design contract — *bit-compatibility with the scalar kernels*: every
+// batch kernel here computes, per element, exactly the arithmetic of its
+// scalar counterpart in util/fastmath.h / util/rng.h / simd.cpp (same
 // operations, same order, no FMA contraction in the value chains), just
 // several lanes at a time.  IEEE-754 arithmetic is deterministic, so the
 // AVX-512 lanes, the AVX2 lanes and the scalar fallback produce
@@ -27,6 +28,16 @@
 // set.  The batch entry points below run the full lane blocks through
 // the active backend's kernel table and the tail through the scalar
 // reference.
+//
+// The kernel table (detail::Lane_kernels) holds the math lanes (atan2,
+// sincos, log, polar), the interference decoder's (anc_candidates,
+// anc_select, diff_arg), the channel accumulates (rotor_accumulate,
+// cmul_accumulate), the Counter_normal pair (counter_normal_fill,
+// counter_normal_add_scaled), the bit-domain pilot scans
+// (pilot_scan_starts, pilot_scan_striped) and the receiver front end:
+// the detector scans (window_stats, mean_above_mask, excess_ratio_mask)
+// and the MSK decisions (msk_decide).  The pilot scans and the front end
+// approximate nothing, so every profile — exact included — runs them.
 //
 // The lanes are written once, in src/util/simd_lanes.cpp, and compiled
 // twice: with -mavx2 -mfma (4 doubles per vector) and with -mavx512f (8
@@ -154,6 +165,58 @@ void rotor_accumulate(const double* interleaved_in, double* interleaved_acc,
 void cmul_accumulate(const double* interleaved_in, const double* interleaved_rotors,
                      double* interleaved_acc, std::size_t samples);
 
+// ------------------------------------------------ receiver front end
+// The §7.1 detector scans and the §5.3 MSK decisions.  They are
+// exact-shared: nothing in them is approximated, so every profile runs
+// them, and the exact profile's byte identity rests on the lane/scalar
+// bit-compatibility above.
+//
+// The scans compute the moving-window statistics of the sample energy
+// e[i] = re_i·re_i + im_i·im_i (std::norm's arithmetic) over the
+// windows [k, k + window) of n interleaved complex samples, k in
+// [0, windows), windows = n − window + 1 ≥ 1.  Window 0's sums start
+// from zero; window k's follow the historical recurrence
+//   sum    += e[k − 1 + window] − e[k − 1]
+//   sum_sq += e[k − 1 + window]·e[k − 1 + window] − e[k − 1]·e[k − 1]
+// — an IEEE addition chain whose order is the byte-identity contract of
+// every scan, so it runs serially, in window order, on every tier, while
+// the lanes compute the deltas ahead of it and finalize the windows
+// behind it.  Per window:
+//   mean     = sum·(1/window) for a power-of-two window (an exact
+//              scaling, so it rounds like the divide), sum / window
+//              otherwise;
+//   variance = sum_sq·(1/window) − mean·mean (or sum_sq / window − …),
+//              clamped by `variance < 0.0 ? 0.0 : variance`, which
+//              keeps a -0.0.
+// The masks put window k's decision in bit k % 64 of mask[k / 64]; all
+// (windows + 63) / 64 words are written and the bits past the last
+// window are zero.
+
+/// The per-window means and variances (dsp::scan_energy_into).
+void window_stats(const double* interleaved_samples, std::size_t windows,
+                  std::size_t window, double* mean, double* variance);
+
+/// The packet detector's scan: bit k is mean_k > threshold (NaN is never
+/// above).
+void mean_above_mask(const double* interleaved_samples, std::size_t windows,
+                     std::size_t window, double threshold, std::uint64_t* mask);
+
+/// The interference analyzer's scan: window k's excess-variance ratio
+///   ratio = variance / (2·max(mean − σ², 1e-12)·σ² + σ²·σ²),
+/// σ² = noise_power, thresholded into bit k (ratio > threshold) and
+/// folded into the running *peak (in/out) as std::max(peak, ratio),
+/// which skips NaN ratios.
+void excess_ratio_mask(const double* interleaved_samples, std::size_t windows,
+                       std::size_t window, double noise_power, double threshold,
+                       std::uint64_t* mask, double* peak);
+
+/// MSK hard decisions: bits[n] = 1 iff arg(y[n+1]·conj(y[n])) >= 0, for n
+/// in [0, transitions), reading interleaved samples [0, transitions].
+/// Decided from the signs of the ratio's parts (no atan2), with the
+/// products std::complex multiplication performs.
+void msk_decide(const double* interleaved_samples, std::size_t transitions,
+                std::uint8_t* bits);
+
 namespace detail {
 
 // The scalar references: the fast kernels, looped.  They serve the
@@ -183,13 +246,34 @@ void rotor_accumulate_scalar(const double* interleaved_in,
 void cmul_accumulate_scalar(const double* interleaved_in,
                             const double* interleaved_rotors,
                             double* interleaved_acc, std::size_t samples);
+// The scans' references run windows [first, first + n) of the stream
+// at interleaved_samples, carrying the running sums in `carry` (sum, then
+// sum_sq) from the call that ran the windows before; first == 0 starts
+// the sums from zero.  Outputs are indexed by absolute window: mean[k],
+// bit k of mask.  A mask piece starts on a word boundary (first % 64 ==
+// 0) and writes its words whole.
+void window_stats_scalar(const double* interleaved_samples, std::size_t first,
+                         std::size_t n, std::size_t window, double* carry,
+                         double* mean, double* variance);
+void mean_above_mask_scalar(const double* interleaved_samples, std::size_t first,
+                            std::size_t n, std::size_t window, double* carry,
+                            double threshold, std::uint64_t* mask);
+void excess_ratio_mask_scalar(const double* interleaved_samples, std::size_t first,
+                              std::size_t n, std::size_t window, double* carry,
+                              double noise_power, double threshold,
+                              std::uint64_t* mask, double* peak);
+void msk_decide_scalar(const double* interleaved_samples, std::size_t transitions,
+                       std::uint8_t* bits);
 
 /// One lane backend: the kernels of util/simd_lanes.cpp as compiled at
 /// one vector width.  Each entry has the signature of the public kernel
 /// of the same name above and requires a block-aligned size — n (or
-/// samples) % width == 0, count % (2·width) == 0 for the Counter_normal
-/// pair, none for the pilot scans.  The dispatchers split every call
-/// into a lane head and a scalar tail.
+/// samples, transitions) % width == 0, count % (2·width) == 0 for the
+/// Counter_normal pair, none for the pilot scans.  The detector scans
+/// take the *_scalar signatures with first >= 1 (window 0 is always the
+/// scalar code's), n % width == 0, and for the two masks first % 64 ==
+/// 0 and n % 64 == 0 (whole mask words).  The dispatchers split every
+/// call into a lane head and a scalar tail.
 struct Lane_kernels {
     std::size_t width; ///< doubles per lane vector: 4 (avx2) or 8 (avx512)
     void (*atan2)(const double* y, const double* x, double* out, std::size_t n);
@@ -239,6 +323,19 @@ struct Lane_kernels {
                                const std::uint64_t* masks, std::size_t w_lo,
                                std::size_t w_hi, std::size_t max_errors,
                                std::uint64_t* best_key);
+    /// The receiver front end: the detector scans and the MSK decisions.
+    void (*window_stats)(const double* interleaved_samples, std::size_t first,
+                         std::size_t n, std::size_t window, double* carry,
+                         double* mean, double* variance);
+    void (*mean_above_mask)(const double* interleaved_samples, std::size_t first,
+                            std::size_t n, std::size_t window, double* carry,
+                            double threshold, std::uint64_t* mask);
+    void (*excess_ratio_mask)(const double* interleaved_samples, std::size_t first,
+                              std::size_t n, std::size_t window, double* carry,
+                              double noise_power, double threshold,
+                              std::uint64_t* mask, double* peak);
+    void (*msk_decide)(const double* interleaved_samples, std::size_t transitions,
+                       std::uint8_t* bits);
 };
 
 /// The lane kernels of `backend`; nullptr for Backend::scalar and for a

@@ -214,6 +214,18 @@ inline void deinterleave(const double* p, vd& re, vd& im)
     im = shuffle(v0, v1, lane_index() * 2 + 1);
 }
 
+/// Bit i of the result is set where lane i of the comparison mask m is
+/// (vcmppd's all-ones lanes): vmovmskpd at AVX2, a test into a k
+/// register at AVX-512F (which has no 64-bit movemask of its own).
+inline unsigned movemask(vi m)
+{
+#if defined(__AVX512F__)
+    return _mm512_test_epi64_mask((__m512i)m, (__m512i)m);
+#else
+    return static_cast<unsigned>(_mm256_movemask_pd((__m256d)m));
+#endif
+}
+
 // ----------------------------------------------------------- math lanes
 
 /// fast_atan2 (util/fastmath.h): octant fold, degree-12 Chebyshev in
@@ -609,6 +621,224 @@ void counter_normal_add_scaled(std::uint64_t key_a, std::uint64_t key_b,
     }
 }
 
+// ------------------------------------------------- receiver front end
+// The detector scans (simd.cpp holds their scalar references and runs
+// each scan's window 0) and the MSK decisions.
+
+/// e = re·re + im·im of `lanes` interleaved samples at p (std::norm).
+inline vd energies_at(const double* p)
+{
+    vd re;
+    vd im;
+    deinterleave(p, re, im);
+    return re * re + im * im;
+}
+
+/// Calls `scan(scale)` with the window's scaling: ·(1/w) for a
+/// power-of-two window (the scaling is then exact, so it rounds like the
+/// divide; see simd.cpp's with_window_scale), / w otherwise — two loop
+/// versions, so neither carries the other's arithmetic.
+template <class Scan>
+[[gnu::always_inline]] inline void with_window_scale(std::size_t window, Scan&& scan)
+{
+    const auto w = static_cast<double>(window);
+    if ((window & (window - 1)) == 0) {
+        const double inv_w = 1.0 / w;
+        scan([inv_w](vd sums) { return sums * inv_w; });
+    } else {
+        scan([w](vd sums) { return sums / w; });
+    }
+}
+
+// A scan runs three streams at once over groups of `lanes` windows: the
+// lanes compute the deltas of group g + scan_ahead, the serial chain
+// turns group g's deltas into window sums (scalar, in window order — the
+// recurrence's rounding sequence is the byte contract), and the lanes
+// finalize group g − scan_lag.  The streams meet in a small ring of
+// slots.  The distances keep every reload clear of the store that fed
+// it: a load the store buffer cannot forward (scalar loads from a vector
+// store at an offset, a vector load of scalar stores) waits until the
+// store reaches L1, and a chain load that waits stalls the chain.
+constexpr std::size_t scan_ahead = 4 * lanes;
+constexpr std::size_t scan_lag = 4 * lanes;
+constexpr std::size_t scan_ring = 128; // > ahead + lag + a group; a power of two
+
+/// Windows [first, first + n) (first >= 1, n % lanes == 0): deltas(g, slot),
+/// chain(slot) and finish(g, slot) for the group of window first + g,
+/// in the order described above.
+template <class Deltas, class Chain, class Finish>
+[[gnu::always_inline]] inline void scan_pipeline(std::size_t n, Deltas&& deltas,
+                                                 Chain&& chain, Finish&& finish)
+{
+    const auto slot = [](std::size_t g) { return g & (scan_ring - 1); };
+    for (std::size_t g = 0; g < n && g < scan_ahead; g += lanes)
+        deltas(g, slot(g));
+    for (std::size_t g = 0; g < n; g += lanes) {
+        if (g + scan_ahead < n)
+            deltas(g + scan_ahead, slot(g + scan_ahead));
+        chain(slot(g));
+        if (g >= scan_lag)
+            finish(g - scan_lag, slot(g - scan_lag));
+    }
+    for (std::size_t g = n < scan_lag ? 0 : n - scan_lag; g < n; g += lanes)
+        finish(g, slot(g));
+}
+
+/// The mean scan: sink(g, means) for each group g (relative to first).
+template <class Sink>
+[[gnu::always_inline]] inline void means_scan(const double* samples, std::size_t first,
+                                              std::size_t n, std::size_t window,
+                                              double* carry, Sink&& sink)
+{
+    const double* leaving = samples + 2 * (first - 1);
+    const double* entering = leaving + 2 * window;
+    alignas(64) double sums[scan_ring];
+    double sum = *carry;
+    with_window_scale(window, [&](auto scale) {
+        scan_pipeline(
+            n,
+            [&](std::size_t g, std::size_t at) {
+                store(sums + at,
+                      energies_at(entering + 2 * g) - energies_at(leaving + 2 * g));
+            },
+            [&](std::size_t at) {
+                for (std::size_t j = at; j < at + lanes; ++j) {
+                    sum += sums[j];
+                    sums[j] = sum;
+                }
+            },
+            [&](std::size_t g, std::size_t at) { sink(g, scale(load(sums + at))); });
+    });
+    *carry = sum;
+}
+
+/// The stats scan: sink(g, means, variances) for each group g.
+template <class Sink>
+[[gnu::always_inline]] inline void stats_scan(const double* samples, std::size_t first,
+                                              std::size_t n, std::size_t window,
+                                              double* carry, Sink&& sink)
+{
+    const double* leaving = samples + 2 * (first - 1);
+    const double* entering = leaving + 2 * window;
+    alignas(64) double sums[scan_ring];
+    alignas(64) double sum_sqs[scan_ring];
+    double sum = carry[0];
+    double sum_sq = carry[1];
+    with_window_scale(window, [&](auto scale) {
+        scan_pipeline(
+            n,
+            [&](std::size_t g, std::size_t at) {
+                const vd in = energies_at(entering + 2 * g);
+                const vd out = energies_at(leaving + 2 * g);
+                store(sums + at, in - out);
+                store(sum_sqs + at, in * in - out * out);
+            },
+            [&](std::size_t at) {
+                for (std::size_t j = at; j < at + lanes; ++j) {
+                    sum += sums[j];
+                    sum_sq += sum_sqs[j];
+                    sums[j] = sum;
+                    sum_sqs[j] = sum_sq;
+                }
+            },
+            [&](std::size_t g, std::size_t at) {
+                const vd mean = scale(load(sums + at));
+                const vd variance = scale(load(sum_sqs + at)) - mean * mean;
+                // variance < 0.0 ? 0.0 : variance keeps a -0.0 (vmaxpd
+                // would not).
+                sink(g, mean, variance < 0.0 ? splat(0.0) : variance);
+            });
+    });
+    carry[0] = sum;
+    carry[1] = sum_sq;
+}
+
+/// Collects a mask scan's group bits into whole words: groups arrive in
+/// order from a word boundary, 64 / lanes to a word.
+struct Mask_words {
+    std::uint64_t* words;
+    std::uint64_t word = 0;
+
+    void add(std::size_t g, std::uint64_t bits)
+    {
+        word |= bits << (g % 64);
+        if (g % 64 == 64 - lanes) {
+            words[g / 64] = word;
+            word = 0;
+        }
+    }
+};
+
+void window_stats(const double* samples, std::size_t first, std::size_t n,
+                  std::size_t window, double* carry, double* mean, double* variance)
+{
+    stats_scan(samples, first, n, window, carry, [&](std::size_t g, vd m, vd v) {
+        store(mean + first + g, m);
+        store(variance + first + g, v);
+    });
+}
+
+void mean_above_mask(const double* samples, std::size_t first, std::size_t n,
+                     std::size_t window, double* carry, double threshold,
+                     std::uint64_t* mask)
+{
+    Mask_words out{mask + first / 64};
+    means_scan(samples, first, n, window, carry, [&](std::size_t g, vd m) {
+        out.add(g, movemask(m > threshold));
+    });
+}
+
+void excess_ratio_mask(const double* samples, std::size_t first, std::size_t n,
+                       std::size_t window, double* carry, double noise_power,
+                       double threshold, std::uint64_t* mask, double* peak)
+{
+    const double noise_variance = noise_power * noise_power;
+    Mask_words out{mask + first / 64};
+    vd top = splat(*peak);
+    stats_scan(samples, first, n, window, carry, [&](std::size_t g, vd m, vd v) {
+        // std::max(mean − σ², 1e-12) is (x < 1e-12 ? 1e-12 : x) =
+        // vmaxpd(1e-12, x), NaN included.
+        const vd signal_power = max_lanes(splat(1e-12), m - noise_power);
+        const vd ratio = v / (2.0 * signal_power * noise_power + noise_variance);
+        // std::max(peak, ratio) = (peak < ratio ? ratio : peak) =
+        // vmaxpd(ratio, peak): a NaN ratio leaves the peak alone.
+        top = max_lanes(ratio, top);
+        out.add(g, movemask(ratio > threshold));
+    });
+    // Every lane's peak is a max over a NaN-free set that holds *peak,
+    // and the max of such a set does not depend on the order it is taken
+    // in (ratios above the 1e-12 floor are positive: no ±0 ties).
+    double result = *peak;
+    for (std::size_t i = 0; i < lanes; ++i)
+        result = result < top[i] ? top[i] : result;
+    *peak = result;
+}
+
+void msk_decide(const double* interleaved_samples, std::size_t transitions,
+                std::uint8_t* bits)
+{
+    for (std::size_t n = 0; n < transitions; n += lanes) {
+        vd ar;
+        vd ai;
+        vd br;
+        vd bi;
+        deinterleave(interleaved_samples + 2 * n, ar, ai);
+        deinterleave(interleaved_samples + 2 * n + 2, br, bi);
+        const vd im = br * -ai + bi * ar;
+        const vd re = br * ar - bi * -ai;
+        // 1 where im > 0, or im == ±0 unless both im and re carry a sign
+        // bit (the scalar rule: im == -0.0 defers to !signbit(re)).
+        const vi both_negative = ((vi)im & (vi)re) < 0;
+        const unsigned one = movemask((im > 0.0) | ((im == 0.0) & ~both_negative));
+        // Each nibble of decisions spreads to four bytes with one multiply:
+        // its bits land in disjoint byte positions, so nothing carries.
+        for (std::size_t j = 0; j < lanes; j += 4) {
+            const std::uint32_t decided = (((one >> j) & 15) * 0x204081u) & 0x01010101u;
+            __builtin_memcpy(bits + n + j, &decided, sizeof decided);
+        }
+    }
+}
+
 // Bit-domain pilot-scan kernels (phy/pilot.cpp): integer-exact XOR +
 // popcount loops, here only for the hardware popcnt instruction that
 // both ISA flag sets imply (a baseline x86-64 build compiles
@@ -681,6 +911,10 @@ extern const Lane_kernels ANC_LANE_TABLE = {
     counter_normal_add_scaled,
     pilot_scan_starts,
     pilot_scan_striped,
+    window_stats,
+    mean_above_mask,
+    excess_ratio_mask,
+    msk_decide,
 };
 
 } // namespace anc::simd::detail

@@ -220,10 +220,9 @@ TEST(OpsInPlace, ScanEnergyIntoMatchesScanEnergy)
 {
     const Signal signal = make_test_signal(400, 62);
     const Energy_scan expected = scan_energy(signal, 32);
-    std::vector<double> scratch;
     std::vector<double> mean;
     std::vector<double> variance;
-    scan_energy_into(signal, 32, scratch, mean, variance);
+    scan_energy_into(signal, 32, mean, variance);
     EXPECT_EQ(expected.window_mean, mean);
     EXPECT_EQ(expected.window_variance, variance);
 }

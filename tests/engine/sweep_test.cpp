@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -142,6 +143,37 @@ TEST(SweepGrid, EmptyAxesThrow)
     grid.exchanges = {4};
     grid.payload_bits = {0};
     EXPECT_THROW(expand(grid), std::invalid_argument);
+}
+
+TEST(SweepGrid, NonFiniteAxisValuesThrow)
+{
+    // nan and inf parse as doubles but name no operating point; a grid
+    // carrying one would run vacuous rows and emit invalid JSON.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto base = [] {
+        Sweep_grid grid;
+        grid.scenarios = {"alice_bob"};
+        return grid;
+    };
+    ASSERT_NO_THROW(expand(base()));
+    for (const double bad : {nan, inf, -inf}) {
+        Sweep_grid grid = base();
+        grid.snr_db = {20.0, bad};
+        EXPECT_THROW(expand(grid), std::invalid_argument) << bad;
+        grid = base();
+        grid.alice_amplitudes = {bad};
+        EXPECT_THROW(expand(grid), std::invalid_argument) << bad;
+        grid = base();
+        grid.bob_amplitudes = {bad};
+        EXPECT_THROW(expand(grid), std::invalid_argument) << bad;
+        grid = base();
+        grid.detector_thresholds_db = {bad};
+        EXPECT_THROW(expand(grid), std::invalid_argument) << bad;
+        grid = base();
+        grid.mean_link_gains = {bad};
+        EXPECT_THROW(expand(grid), std::invalid_argument) << bad;
+    }
 }
 
 } // namespace

@@ -53,6 +53,17 @@ grep -q "^error: .*exchanges" stderr.log
 # shellcheck disable=SC2086
 [ "$(rc "$SWEEP" $GRID --payload-bits 0)" = 2 ]
 grep -q "^error: .*payload_bits" stderr.log
+# nan/inf parse as doubles but are no operating point (they used to run
+# and emit invalid JSON).
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --scheme anc --detector-threshold nan)" = 2 ]
+grep -q "^error: .*detector_thresholds_db.*non-finite" stderr.log
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --scheme anc --detector-threshold inf)" = 2 ]
+grep -q "^error: .*detector_thresholds_db.*non-finite" stderr.log
+# shellcheck disable=SC2086
+[ "$(rc "$SWEEP" $GRID --snr nan)" = 2 ]
+grep -q "^error: .*snr_db.*non-finite" stderr.log
 # The retired simd profile is refused, naming its replacement.
 # shellcheck disable=SC2086
 [ "$(rc "$SWEEP" $GRID --math-profile simd)" = 2 ]

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 
 #include "channel/awgn.h"
 #include "channel/link.h"
@@ -73,6 +75,44 @@ TEST(PacketDetector, ShortStreamHandled)
 {
     const Packet_detector detector{noise_power};
     EXPECT_FALSE(detector.detect(dsp::Signal(4, dsp::Sample{1.0, 0.0})).has_value());
+}
+
+TEST(PacketDetector, RejectsInvalidConfigAtConstruction)
+{
+    Packet_detector::Config zero_window;
+    zero_window.window = 0;
+    EXPECT_THROW((Packet_detector{noise_power, zero_window}), std::invalid_argument);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        Packet_detector::Config config;
+        config.energy_threshold_db = bad;
+        EXPECT_THROW((Packet_detector{noise_power, config}), std::invalid_argument)
+            << bad;
+    }
+    EXPECT_NO_THROW((Packet_detector{noise_power, Packet_detector::Config{}}));
+}
+
+TEST(InterferenceDetector, RejectsInvalidConfigAtConstruction)
+{
+    Interference_detector::Config zero_window;
+    zero_window.window = 0;
+    EXPECT_THROW((Interference_detector{noise_power, zero_window}),
+                 std::invalid_argument);
+    Interference_detector::Config zero_run;
+    zero_run.min_run = 0;
+    EXPECT_THROW((Interference_detector{noise_power, zero_run}), std::invalid_argument);
+    // A NaN threshold used to report "never interfered" silently.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        Interference_detector::Config config;
+        config.variance_threshold_db = bad;
+        EXPECT_THROW((Interference_detector{noise_power, config}),
+                     std::invalid_argument)
+            << bad;
+    }
+    EXPECT_NO_THROW((Interference_detector{noise_power, Interference_detector::Config{}}));
 }
 
 TEST(InterferenceDetector, CleanPacketNotInterfered)

@@ -16,7 +16,9 @@
 // AVX-512F (anywhere else the narrower backend is active and there is
 // nothing to compare); the public batch API is additionally compared
 // against direct fast-kernel loops on every machine, covering the
-// dispatcher's block/tail seam at awkward lengths.
+// dispatcher's block/tail seam at awkward lengths.  The receiver front
+// end's scans and MSK decisions are held to the historical scan loop and
+// the arg rule the same way.
 
 #include "util/simd.h"
 
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "dsp/energy_scan.h"
 #include "util/cpu_features.h"
 #include "util/fastmath.h"
 #include "util/rng.h"
@@ -191,9 +194,187 @@ TEST(SimdKernels, PolarBatchMatchesFastLoop)
 // where CPUID reports AVX2+FMA, the avx512 table only where it also
 // reports AVX-512F.
 
+// The receiver front end's inputs: Gaussian samples around a stretch of
+// constant envelope (whose window variances cancel below zero before the
+// clamp: sum_sq/w - mean^2 rounds negative) and a run of exact zeros of
+// both signs.  (The clamp's -0.0 case needs a scaled sum of squares that
+// rounds to -0.0; these samples do not reach it.  Lanes and scalar code
+// run the same `v < 0.0 ? 0.0 : v` comparison, which lets a -0.0 through
+// on both.)
+std::vector<double> front_end_samples(std::size_t count, std::uint64_t seed)
+{
+    std::vector<double> x = random_range(2 * count, -1.5, 1.5, seed);
+    for (std::size_t i = count / 4; i < count / 2; ++i) {
+        const double phase = 0.37 * static_cast<double>(i);
+        x[2 * i] = 1.3 * std::cos(phase);
+        x[2 * i + 1] = 1.3 * std::sin(phase);
+    }
+    for (std::size_t i = count / 2; i < count / 2 + 40 && i < count; ++i) {
+        x[2 * i] = i % 2 == 0 ? 0.0 : -0.0;
+        x[2 * i + 1] = i % 3 == 0 ? -0.0 : 0.0;
+    }
+    return x;
+}
+
+/// Interleaved samples drawn from {±1, ±0, 0.5, -2}: consecutive pairs
+/// hit every mix of signed zeros and signs in a transition's ratio parts.
+std::vector<double> signed_zero_samples(std::size_t count, std::uint64_t seed)
+{
+    const double values[] = {1.0, -1.0, 0.0, -0.0, 0.5, -2.0};
+    Pcg32 rng{seed, 3};
+    std::vector<double> x(2 * count);
+    for (double& v : x)
+        v = values[rng.next_u32() % 6];
+    return x;
+}
+
+/// The historical fused scan (the byte reference of every scan): the
+/// unclamped variance too, so a test can see the clamp fire.
+struct Reference_scan {
+    std::vector<double> mean;
+    std::vector<double> raw_variance;
+
+    Reference_scan(const std::vector<double>& x, std::size_t window)
+    {
+        const std::size_t count = x.size() / 2;
+        const auto e = [&](std::size_t i) {
+            return x[2 * i] * x[2 * i] + x[2 * i + 1] * x[2 * i + 1];
+        };
+        const auto w = static_cast<double>(window);
+        const bool exact = (window & (window - 1)) == 0;
+        double sum = 0.0;
+        double sum_sq = 0.0;
+        for (std::size_t i = 0; i < window; ++i) {
+            sum += e(i);
+            sum_sq += e(i) * e(i);
+        }
+        for (std::size_t k = 0;; ++k) {
+            const double m = exact ? sum * (1.0 / w) : sum / w;
+            mean.push_back(m);
+            raw_variance.push_back((exact ? sum_sq * (1.0 / w) : sum_sq / w) - m * m);
+            if (k + window >= count)
+                break;
+            sum += e(k + window) - e(k);
+            sum_sq += e(k + window) * e(k + window) - e(k) * e(k);
+        }
+    }
+
+    double variance(std::size_t k) const
+    {
+        return raw_variance[k] < 0.0 ? 0.0 : raw_variance[k];
+    }
+};
+
+double reference_ratio(double mean, double variance, double sigma2)
+{
+    const double signal_power = std::max(mean - sigma2, 1e-12);
+    return variance / (2.0 * signal_power * sigma2 + sigma2 * sigma2);
+}
+
+bool mask_bit(const std::vector<std::uint64_t>& mask, std::size_t k)
+{
+    return ((mask[k / 64] >> (k % 64)) & 1) != 0;
+}
+
+/// The three detector scans of `lanes` against the scalar references,
+/// resumed from the same carried sums at window `first` (>= 1, a mask
+/// word boundary for the masks) over n windows (whole mask words).
+void expect_scans_equal_scalar(const detail::Lane_kernels& lanes,
+                               const std::vector<double>& x, std::size_t window,
+                               std::size_t first, std::size_t n)
+{
+    const double* samples = x.data();
+    const std::size_t windows = first + n;
+    const double sigma2 = 0.04;
+    const double threshold = 1.5;
+
+    // The carried sums at `first`, from the scalar scan of the windows
+    // before it.
+    std::vector<double> lead_mean(first), lead_variance(first);
+    double carry[2] = {0.0, 0.0};
+    detail::window_stats_scalar(samples, 0, first, window, carry, lead_mean.data(),
+                                lead_variance.data());
+
+    std::vector<double> m1(windows), m2(windows), v1(windows), v2(windows);
+    double c1[2] = {carry[0], carry[1]};
+    double c2[2] = {carry[0], carry[1]};
+    lanes.window_stats(samples, first, n, window, c1, m1.data(), v1.data());
+    detail::window_stats_scalar(samples, first, n, window, c2, m2.data(), v2.data());
+    for (std::size_t k = first; k < windows; ++k) {
+        expect_same_bits(m1[k], m2[k], "window_stats mean", k);
+        expect_same_bits(v1[k], v2[k], "window_stats variance", k);
+    }
+    expect_same_bits(c1[0], c2[0], "stats carry sum", 0);
+    expect_same_bits(c1[1], c2[1], "stats carry sum_sq", 0);
+
+    const std::size_t words = windows / 64;
+    std::vector<std::uint64_t> a1(words, 7), a2(words, 7), r1(words, 7), r2(words, 7);
+    double ca1 = carry[0];
+    double ca2 = carry[0];
+    lanes.mean_above_mask(samples, first, n, window, &ca1, threshold, a1.data());
+    detail::mean_above_mask_scalar(samples, first, n, window, &ca2, threshold,
+                                   a2.data());
+    double cr1[2] = {carry[0], carry[1]};
+    double cr2[2] = {carry[0], carry[1]};
+    double peak1 = 1e-12;
+    double peak2 = 1e-12;
+    lanes.excess_ratio_mask(samples, first, n, window, cr1, sigma2, threshold,
+                            r1.data(), &peak1);
+    detail::excess_ratio_mask_scalar(samples, first, n, window, cr2, sigma2, threshold,
+                                     r2.data(), &peak2);
+    for (std::size_t w = first / 64; w < words; ++w) {
+        EXPECT_EQ(a1[w], a2[w]) << "mean_above_mask word " << w;
+        EXPECT_EQ(r1[w], r2[w]) << "excess_ratio_mask word " << w;
+    }
+    expect_same_bits(peak1, peak2, "excess_ratio_mask peak", 0);
+    expect_same_bits(ca1, ca2, "mean mask carry", 0);
+    expect_same_bits(cr1[1], cr2[1], "ratio carry sum_sq", 0);
+}
+
+/// The MSK decisions of `lanes` against the scalar reference, on samples
+/// whose ratio parts hit every signed-zero case.
+void expect_msk_decide_equal_scalar(const detail::Lane_kernels& lanes,
+                                    const std::vector<double>& x)
+{
+    const std::size_t transitions = (x.size() / 2 - 1) & ~std::size_t{15};
+    std::vector<std::uint8_t> b1(transitions), b2(transitions);
+    lanes.msk_decide(x.data(), transitions, b1.data());
+    detail::msk_decide_scalar(x.data(), transitions, b2.data());
+    for (std::size_t n = 0; n < transitions; ++n)
+        EXPECT_EQ(b1[n], b2[n]) << "msk_decide transition " << n;
+}
+
+/// The front-end kernels of `lanes` at power-of-two and divide-path
+/// windows, from window 1 (the first the lanes ever take) and from a
+/// mask-word boundary.
+void expect_front_end_lanes_equal_scalar(const detail::Lane_kernels& lanes,
+                                         std::uint64_t seed)
+{
+    const std::vector<double> x = front_end_samples(1200, seed);
+    for (const std::size_t window : {std::size_t{1}, std::size_t{7}, std::size_t{16},
+                                     std::size_t{64}, std::size_t{100}}) {
+        expect_scans_equal_scalar(lanes, x, window, 64, 512);
+        expect_scans_equal_scalar(lanes, x, window, 128, 896);
+    }
+    // window_stats from window 1 (no mask alignment).
+    std::vector<double> m1(1000), m2(1000), v1(1000), v2(1000);
+    double carry[2] = {0.0, 0.0};
+    detail::window_stats_scalar(x.data(), 0, 1, 16, carry, m2.data(), v2.data());
+    double c1[2] = {carry[0], carry[1]};
+    double c2[2] = {carry[0], carry[1]};
+    lanes.window_stats(x.data(), 1, 504, 16, c1, m1.data(), v1.data());
+    detail::window_stats_scalar(x.data(), 1, 504, 16, c2, m2.data(), v2.data());
+    for (std::size_t k = 1; k < 505; ++k) {
+        expect_same_bits(m1[k], m2[k], "window_stats from 1 mean", k);
+        expect_same_bits(v1[k], v2[k], "window_stats from 1 variance", k);
+    }
+    expect_msk_decide_equal_scalar(lanes, x);
+    expect_msk_decide_equal_scalar(lanes, signed_zero_samples(1030, seed));
+}
+
 /// atan2, sincos, log, polar, the two channel accumulates, the
-/// Counter_normal pair and the pilot scans of `lanes` against their
-/// scalar references.
+/// Counter_normal pair, the pilot scans and the receiver front end of
+/// `lanes` against their scalar references.
 void expect_lanes_equal_scalar(const detail::Lane_kernels& lanes, std::uint64_t seed)
 {
     const std::size_t n = 4096; // a multiple of 16: pure lane coverage
@@ -283,6 +464,8 @@ void expect_lanes_equal_scalar(const detail::Lane_kernels& lanes, std::uint64_t 
     lanes.pilot_scan_starts(words.data(), shifted.data(), masks.data(), 2, 64 * 3,
                             64 * 30 + 63, max_errors, &starts);
     EXPECT_EQ(starts, expected);
+
+    expect_front_end_lanes_equal_scalar(lanes, seed + 7);
 }
 
 /// The interference decoder's three kernels of `lanes` against their
@@ -393,6 +576,85 @@ TEST(SimdKernels, Avx512CounterNormalEqualsAvx2)
     for (std::size_t i = 0; i < count; ++i)
         expect_same_bits(acc_wide[i], acc_narrow[i],
                          "counter-normal add_scaled avx512", i);
+}
+
+TEST(SimdKernels, FrontEndScansMatchHistoricalLoopAtEverySeam)
+{
+    // The public scans on whatever backend this process dispatches to,
+    // against the historical fused loop: window counts on both sides of
+    // the lane-width and mask-word seams, power-of-two and divide-path
+    // windows, and a stretch whose variance cancels below zero.
+    const double sigma2 = 0.04;
+    const double threshold = 1.5;
+    bool clamp_fired = false;
+    for (const std::size_t count : {std::size_t{5}, std::size_t{20}, std::size_t{64},
+                                    std::size_t{71}, std::size_t{130},
+                                    std::size_t{700}}) {
+        const std::vector<double> x = front_end_samples(count, 0x5C + count);
+        for (const std::size_t window : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                         std::size_t{16}, std::size_t{64}}) {
+            if (window > count) {
+                // Shorter than the window: no scan at all.
+                dsp::Signal signal;
+                for (std::size_t i = 0; i < count; ++i)
+                    signal.emplace_back(x[2 * i], x[2 * i + 1]);
+                EXPECT_TRUE(dsp::scan_energy(signal, window).window_mean.empty());
+                continue;
+            }
+            const std::size_t windows = count - window + 1;
+            const Reference_scan ref{x, window};
+            ASSERT_EQ(ref.mean.size(), windows);
+            std::vector<double> mean(windows), variance(windows);
+            simd::window_stats(x.data(), windows, window, mean.data(), variance.data());
+            std::vector<std::uint64_t> above((windows + 63) / 64, ~std::uint64_t{0});
+            std::vector<std::uint64_t> ratio_above(above);
+            simd::mean_above_mask(x.data(), windows, window, threshold, above.data());
+            double peak = 1e-12;
+            simd::excess_ratio_mask(x.data(), windows, window, sigma2, threshold,
+                                    ratio_above.data(), &peak);
+            double expected_peak = 1e-12;
+            for (std::size_t k = 0; k < windows; ++k) {
+                clamp_fired = clamp_fired || ref.raw_variance[k] < 0.0;
+                expect_same_bits(mean[k], ref.mean[k], "scan mean", k);
+                expect_same_bits(variance[k], ref.variance(k), "scan variance", k);
+                EXPECT_EQ(mask_bit(above, k), ref.mean[k] > threshold) << k;
+                const double ratio = reference_ratio(ref.mean[k], ref.variance(k), sigma2);
+                expected_peak = std::max(expected_peak, ratio);
+                EXPECT_EQ(mask_bit(ratio_above, k), ratio > threshold) << k;
+            }
+            expect_same_bits(peak, expected_peak, "scan peak ratio", windows);
+            for (std::size_t k = windows; k < 64 * above.size(); ++k) {
+                EXPECT_FALSE(mask_bit(above, k)) << "padding bit " << k;
+                EXPECT_FALSE(mask_bit(ratio_above, k)) << "padding bit " << k;
+            }
+        }
+    }
+    EXPECT_TRUE(clamp_fired) << "no window's variance cancelled below zero";
+}
+
+TEST(SimdKernels, MskDecideFollowsTheArgRuleOnSignedZeros)
+{
+    // Every mix of signed zeros and signs in a transition's ratio parts,
+    // at lengths on both sides of the lane seam, against the arg rule
+    // itself: bit = atan2(im, re) >= 0 (atan2 gives -0 for (-0, +0) and
+    // -pi for (-0, -0) or (-0, x < 0)).
+    const std::vector<double> x = signed_zero_samples(1030, 0xDEC);
+    for (const std::size_t samples : {std::size_t{2}, std::size_t{5}, std::size_t{9},
+                                      std::size_t{33}, std::size_t{1030}}) {
+        const std::size_t transitions = samples - 1;
+        std::vector<std::uint8_t> bits(transitions, 7);
+        simd::msk_decide(x.data(), transitions, bits.data());
+        for (std::size_t n = 0; n < transitions; ++n) {
+            const double ar = x[2 * n];
+            const double ai = x[2 * n + 1];
+            const double br = x[2 * n + 2];
+            const double bi = x[2 * n + 3];
+            const double im = br * -ai + bi * ar;
+            const double re = br * ar - bi * -ai;
+            EXPECT_EQ(bits[n], std::atan2(im, re) >= 0.0 ? 1 : 0)
+                << "transition " << n << ": im " << im << ", re " << re;
+        }
+    }
 }
 
 TEST(SimdKernels, LaneKernelsStayWithinFastErrorBounds)

@@ -52,13 +52,11 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     Pcg32 rng{cell_seed, 0xab1a7e};
     chan::Medium medium{noise_power, rng.fork(1), config.math_profile};
     Pcg32 link_rng = rng.fork(2);
-    net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{},
-                      net::Link_fading{}, link_rng);
+    net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
     phy::Modem_config node_modem;
     node_modem.math_profile = config.math_profile;
-    net::Net_node alice{nodes.alice, node_modem};
-    net::Net_node bob{nodes.bob, node_modem};
+    net::Net_node alice{net::node::alice, node_modem};
+    net::Net_node bob{net::node::bob, node_modem};
     Anc_receiver_config receiver_config = config.receiver;
     receiver_config.mu_sigma_only = config.scheme == "mu_sigma";
     const Anc_receiver receiver{receiver_config, noise_power, config.math_profile};
@@ -74,13 +72,13 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
         const dsp::Signal signal_b = bob.transmit(pb, wrng);
         const chan::Transmission round1[] = {{alice.id(), signal_a, da},
                                              {bob.id(), signal_b, db}};
-        const auto at_router = medium.receive(nodes.router, round1, 64);
+        const auto at_router = medium.receive(net::node::router, round1, 64);
         const auto fwd = amplify_and_forward(at_router, noise_power, 1.0);
         if (!fwd) {
             attempted += 2;
             continue;
         }
-        const chan::Transmission round2[] = {{nodes.router, *fwd, 0}};
+        const chan::Transmission round2[] = {{net::node::router, *fwd, 0}};
         for (int side = 0; side < 2; ++side) {
             ++attempted;
             const auto& node = side ? bob : alice;

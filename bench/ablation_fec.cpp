@@ -58,13 +58,11 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
     Pcg32 rng{cell_seed, 0xfec};
     chan::Medium medium{noise_power, rng.fork(1), config.math_profile};
     Pcg32 link_rng = rng.fork(2);
-    net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{},
-                      net::Link_fading{}, link_rng);
+    net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
     phy::Modem_config node_modem;
     node_modem.math_profile = config.math_profile;
-    net::Net_node alice{nodes.alice, node_modem};
-    net::Net_node bob{nodes.bob, node_modem};
+    net::Net_node alice{net::node::alice, node_modem};
+    net::Net_node bob{net::node::bob, node_modem};
     const Anc_receiver receiver{config.receiver, noise_power, config.math_profile};
     Pcg32 traffic = rng.fork(3);
 
@@ -86,11 +84,11 @@ engine::Scenario_result run_cell(const engine::Scenario_config& config, std::uin
         const dsp::Signal signal_b = bob.transmit(pb, rng);
         const chan::Transmission round1[] = {{alice.id(), signal_a, da},
                                              {bob.id(), signal_b, db}};
-        const auto at_router = medium.receive(nodes.router, round1, 64);
+        const auto at_router = medium.receive(net::node::router, round1, 64);
         const auto fwd = amplify_and_forward(at_router, noise_power, 1.0);
         if (!fwd)
             continue;
-        const chan::Transmission round2[] = {{nodes.router, *fwd, 0}};
+        const chan::Transmission round2[] = {{net::node::router, *fwd, 0}};
         const auto at_alice = medium.receive(alice.id(), round2, 64);
         const auto outcome = receiver.receive(at_alice, alice.buffer());
         if (outcome.status != Receive_status::decoded_interference)

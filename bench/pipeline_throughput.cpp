@@ -94,7 +94,7 @@
 #include "net/topology.h"
 #include "phy/detector.h"
 #include "phy/pilot.h"
-#include "sim/alice_bob.h"
+#include "sim/simulator.h"
 #include "util/bits.h"
 #include "util/obs.h"
 #include "util/rng.h"
@@ -109,7 +109,10 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }
 
-void* operator new(std::size_t size)
+// Out of line like the deletes below: an inlined malloc() meeting an
+// operator delete in the same caller reads as a mismatched pair to GCC
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size))
@@ -122,7 +125,7 @@ void* operator new[](std::size_t size)
     return ::operator new(size);
 }
 
-void* operator new(std::size_t size, std::align_val_t align)
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
@@ -258,10 +261,8 @@ Stage_result bench_mix(double min_seconds, dsp::Math_profile profile)
     const double noise_power = chan::noise_power_for_snr_db(bench_snr_db);
     Pcg32 rng{7, 3};
     chan::Medium medium{noise_power, rng.fork(1), profile};
-    net::Alice_bob_nodes nodes;
-    net::Alice_bob_gains gains;
     Pcg32 link_rng = rng.fork(2);
-    install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
+    net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
 
     const Bits bits_a = frame_sized_bits(bench_frame_bits, 0xB0);
     const Bits bits_b = frame_sized_bits(bench_frame_bits, 0xB1);
@@ -269,14 +270,14 @@ Stage_result bench_mix(double min_seconds, dsp::Math_profile profile)
     const dsp::Signal signal_a = modulator.modulate(bits_a);
     const dsp::Signal signal_b = modulator.modulate(bits_b);
 
-    chan::Transmission ta{nodes.alice, signal_a, 140};
-    chan::Transmission tb{nodes.bob, signal_b, 280};
+    chan::Transmission ta{net::node::alice, signal_a, 140};
+    chan::Transmission tb{net::node::bob, signal_b, 280};
     const std::vector<chan::Transmission> on_air{ta, tb};
     const std::uint64_t mixed = 280 + signal_b.size() + 64;
 
     auto out = dsp::Workspace::current().signal();
     return time_stage(stage_name("mix", profile).c_str(), mixed, 2, min_seconds, [&] {
-        medium.receive_into(nodes.router, on_air, 64, *out);
+        medium.receive_into(net::node::router, on_air, 64, *out);
     });
 }
 
@@ -290,13 +291,11 @@ Stage_result bench_fading_mix(double min_seconds)
     const double noise_power = chan::noise_power_for_snr_db(bench_snr_db);
     Pcg32 rng{7, 3};
     chan::Medium medium{noise_power, rng.fork(1)};
-    net::Alice_bob_nodes nodes;
-    net::Alice_bob_gains gains;
     net::Link_fading fading;
     fading.model = chan::Gain_model::rayleigh_block;
     fading.coherence_block = 512;
     Pcg32 link_rng = rng.fork(2);
-    install_alice_bob(medium, nodes, gains, fading, link_rng);
+    net::install(medium, net::alice_bob(), fading, link_rng);
 
     const Bits bits_a = frame_sized_bits(bench_frame_bits, 0xB0);
     const Bits bits_b = frame_sized_bits(bench_frame_bits, 0xB1);
@@ -304,14 +303,14 @@ Stage_result bench_fading_mix(double min_seconds)
     const dsp::Signal signal_a = modulator.modulate(bits_a);
     const dsp::Signal signal_b = modulator.modulate(bits_b);
 
-    chan::Transmission ta{nodes.alice, signal_a, 140};
-    chan::Transmission tb{nodes.bob, signal_b, 280};
+    chan::Transmission ta{net::node::alice, signal_a, 140};
+    chan::Transmission tb{net::node::bob, signal_b, 280};
     const std::vector<chan::Transmission> on_air{ta, tb};
     const std::uint64_t mixed = 280 + signal_b.size() + 64;
 
     auto out = dsp::Workspace::current().signal();
     return time_stage("fading_mix", mixed, 2, min_seconds, [&] {
-        medium.receive_into(nodes.router, on_air, 64, *out);
+        medium.receive_into(net::node::router, on_air, 64, *out);
     });
 }
 
@@ -321,18 +320,16 @@ Stage_result bench_relay(double min_seconds)
     const double noise_power = chan::noise_power_for_snr_db(bench_snr_db);
     Pcg32 rng{9, 5};
     chan::Medium medium{noise_power, rng.fork(1)};
-    net::Alice_bob_nodes nodes;
-    net::Alice_bob_gains gains;
     Pcg32 link_rng = rng.fork(2);
-    install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
+    net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
 
     const dsp::Msk_modulator modulator{1.0, 0.0};
     const dsp::Signal signal_a = modulator.modulate(frame_sized_bits(bench_frame_bits, 0xC0));
     const dsp::Signal signal_b = modulator.modulate(frame_sized_bits(bench_frame_bits, 0xC1));
-    const std::vector<chan::Transmission> on_air{{nodes.alice, signal_a, 140},
-                                                 {nodes.bob, signal_b, 280}};
+    const std::vector<chan::Transmission> on_air{{net::node::alice, signal_a, 140},
+                                                 {net::node::bob, signal_b, 280}};
     dsp::Signal received;
-    medium.receive_into(nodes.router, on_air, 64, received);
+    medium.receive_into(net::node::router, on_air, 64, received);
 
     auto out = dsp::Workspace::current().signal();
     return time_stage("relay", received.size(), 2, min_seconds, [&] {
@@ -347,20 +344,18 @@ Stage_result bench_interference_decode(double min_seconds, dsp::Math_profile pro
     const double noise_power = chan::noise_power_for_snr_db(bench_snr_db);
     Pcg32 rng{21, 13};
     chan::Medium medium{noise_power, rng.fork(1)};
-    net::Alice_bob_nodes nodes;
-    net::Alice_bob_gains gains;
     Pcg32 link_rng = rng.fork(2);
-    install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
+    net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
 
     const Bits bits_a = frame_sized_bits(bench_frame_bits, 0xE0);
     const Bits bits_b = frame_sized_bits(bench_frame_bits, 0xE1);
     const dsp::Msk_modulator modulator{1.0, 0.0};
     const dsp::Signal signal_a = modulator.modulate(bits_a);
     const dsp::Signal signal_b = modulator.modulate(bits_b);
-    const std::vector<chan::Transmission> on_air{{nodes.alice, signal_a, 0},
-                                                 {nodes.bob, signal_b, 96}};
+    const std::vector<chan::Transmission> on_air{{net::node::alice, signal_a, 0},
+                                                 {net::node::bob, signal_b, 96}};
     dsp::Signal received;
-    medium.receive_into(nodes.router, on_air, 0, received);
+    medium.receive_into(net::node::router, on_air, 0, received);
 
     const std::vector<double> known_diffs = dsp::phase_differences_for_bits(bits_a);
     const Interference_decoder decoder{profile};
@@ -382,17 +377,15 @@ dsp::Signal collision_stream(double noise_power)
 {
     Pcg32 rng{31, 9};
     chan::Medium medium{noise_power, rng.fork(1)};
-    net::Alice_bob_nodes nodes;
-    net::Alice_bob_gains gains;
     Pcg32 link_rng = rng.fork(2);
-    install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
+    net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
     const dsp::Msk_modulator modulator{1.0, 0.0};
     const dsp::Signal signal_a = modulator.modulate(frame_sized_bits(bench_frame_bits, 0x50));
     const dsp::Signal signal_b = modulator.modulate(frame_sized_bits(bench_frame_bits, 0x51));
-    const std::vector<chan::Transmission> on_air{{nodes.alice, signal_a, 64},
-                                                 {nodes.bob, signal_b, 400}};
+    const std::vector<chan::Transmission> on_air{{net::node::alice, signal_a, 64},
+                                                 {net::node::bob, signal_b, 400}};
     dsp::Signal received;
-    medium.receive_into(nodes.router, on_air, 64, received);
+    medium.receive_into(net::node::router, on_air, 64, received);
     return received;
 }
 
@@ -472,7 +465,7 @@ Stage_result bench_pilot_search(double min_seconds, bool packed)
 
 Stage_result bench_exchange(double min_seconds, bool quick, dsp::Math_profile profile)
 {
-    sim::Alice_bob_config config;
+    sim::Sim_config config;
     config.payload_bits = 2048;
     config.exchanges = quick ? 2 : 4;
     config.snr_db = bench_snr_db;
@@ -481,12 +474,12 @@ Stage_result bench_exchange(double min_seconds, bool quick, dsp::Math_profile pr
 
     // Samples the exchange pushes through the pipeline: measure once (the
     // workload is deterministic) and reuse as the per-iteration count.
-    const sim::Alice_bob_result probe = sim::run_alice_bob_anc(config);
+    const sim::Sim_result probe = sim::run(net::alice_bob(), "anc", config);
     const auto samples = static_cast<std::uint64_t>(probe.metrics.airtime_symbols);
 
     return time_stage(stage_name("alice_bob_exchange", profile).c_str(), samples, 1,
                       min_seconds, [&] {
-        const sim::Alice_bob_result result = sim::run_alice_bob_anc(config);
+        const sim::Sim_result result = sim::run(net::alice_bob(), "anc", config);
         if (result.metrics.packets_delivered == 0)
             std::fprintf(stderr, "warning: exchange delivered nothing\n");
     });
@@ -498,21 +491,21 @@ Stage_result bench_exchange_telemetry(double min_seconds, bool quick)
     // exactly as the executor binds it per worker.  The rate gap to
     // `alice_bob_exchange` is the end-to-end overhead of the obs layer
     // (OBSERVABILITY.md "Overhead"), gated by --max-telemetry-overhead.
-    sim::Alice_bob_config config;
+    sim::Sim_config config;
     config.payload_bits = 2048;
     config.exchanges = quick ? 2 : 4;
     config.snr_db = bench_snr_db;
     config.math_profile = dsp::Math_profile::exact;
     config.seed = 12345;
 
-    const sim::Alice_bob_result probe = sim::run_alice_bob_anc(config);
+    const sim::Sim_result probe = sim::run(net::alice_bob(), "anc", config);
     const auto samples = static_cast<std::uint64_t>(probe.metrics.airtime_symbols);
 
     obs::Recorder recorder;
     const obs::Recorder::Bind bind{recorder};
     return time_stage("alice_bob_exchange_telemetry", samples, 1, min_seconds, [&] {
         recorder.begin_task();
-        const sim::Alice_bob_result result = sim::run_alice_bob_anc(config);
+        const sim::Sim_result result = sim::run(net::alice_bob(), "anc", config);
         if (result.metrics.packets_delivered == 0)
             std::fprintf(stderr, "warning: exchange delivered nothing\n");
     });

@@ -25,11 +25,9 @@ int main()
     Pcg32 rng{11};
     chan::Medium medium{noise_power, rng.fork(1)};
     Pcg32 link_rng = rng.fork(2);
-    const net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{},
-                      net::Link_fading{}, link_rng);
-    net::Net_node alice{nodes.alice};
-    net::Net_node bob{nodes.bob};
+    net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
+    net::Net_node alice{net::node::alice};
+    net::Net_node bob{net::node::bob};
     const Anc_receiver receiver{Anc_receiver_config{}, noise_power};
 
     const fec::Fec_codec codec{64};
@@ -61,11 +59,11 @@ int main()
         const dsp::Signal signal_b = bob.transmit(pb, rng);
         const chan::Transmission round1[] = {{alice.id(), signal_a, da},
                                              {bob.id(), signal_b, db}};
-        const auto at_router = medium.receive(nodes.router, round1, 64);
+        const auto at_router = medium.receive(net::node::router, round1, 64);
         const auto fwd = amplify_and_forward(at_router, noise_power, 1.0);
         if (!fwd)
             continue;
-        const chan::Transmission round2[] = {{nodes.router, *fwd, 0}};
+        const chan::Transmission round2[] = {{net::node::router, *fwd, 0}};
         const auto at_alice = medium.receive(alice.id(), round2, 64);
         const auto outcome = receiver.receive(at_alice, alice.buffer());
         if (outcome.status != Receive_status::decoded_interference)

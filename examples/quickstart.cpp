@@ -27,12 +27,10 @@ int main()
     Pcg32 rng{7};
     chan::Medium medium{noise_power, rng.fork(1)};
     Pcg32 link_rng = rng.fork(2);
-    const net::Alice_bob_nodes nodes;
-    install_alice_bob(medium, nodes, net::Alice_bob_gains{},
-                      net::Link_fading{}, link_rng);
+    net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
 
-    net::Net_node alice{nodes.alice};
-    net::Net_node bob{nodes.bob};
+    net::Net_node alice{net::node::alice};
+    net::Net_node bob{net::node::bob};
 
     // --- Each side has a packet for the other -----------------------
     Pcg32 traffic = rng.fork(3);
@@ -48,7 +46,7 @@ int main()
     const dsp::Signal signal_b = bob.transmit(pb, rng);
     const chan::Transmission round1[] = {{alice.id(), signal_a, delay_a},
                                          {bob.id(), signal_b, delay_b}};
-    const dsp::Signal at_router = medium.receive(nodes.router, round1, 64);
+    const dsp::Signal at_router = medium.receive(net::node::router, round1, 64);
     std::printf("slot 1: Alice and Bob collide at the router "
                 "(offsets %zu and %zu symbols)\n", delay_a, delay_b);
 
@@ -58,7 +56,7 @@ int main()
         std::printf("relay detected nothing!\n");
         return 1;
     }
-    const chan::Transmission round2[] = {{nodes.router, *broadcast, 0}};
+    const chan::Transmission round2[] = {{net::node::router, *broadcast, 0}};
     std::printf("slot 2: router re-broadcasts the interfered signal "
                 "(%zu samples)\n", broadcast->size());
 

@@ -7,13 +7,13 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "sim/x_topology.h"
+#include "sim/simulator.h"
 
 int main(int argc, char** argv)
 {
     using namespace anc::sim;
 
-    X_config config;
+    Sim_config config;
     config.exchanges = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 40;
     config.snr_db = argc > 2 ? std::strtod(argv[2], nullptr) : 22.0;
     config.seed = 314;
@@ -22,17 +22,18 @@ int main(int argc, char** argv)
     std::printf("(%zu packet pairs, payload %zu bits, SNR %.0f dB)\n\n", config.exchanges,
                 config.payload_bits, config.snr_db);
 
-    const X_result traditional = run_x_traditional(config);
-    const X_result cope = run_x_cope(config);
-    const X_result anc = run_x_anc(config);
+    const Sim_result traditional = run(anc::net::x_topology(), "traditional", config);
+    const Sim_result cope = run(anc::net::x_topology(), "cope", config);
+    const Sim_result anc = run(anc::net::x_topology(), "anc", config);
 
     std::printf("%-14s %12s %12s %14s %18s\n", "scheme", "delivered", "mean BER",
                 "throughput", "overhear failures");
-    const auto row = [](const char* name, const X_result& r) {
+    const auto row = [](const char* name, const Sim_result& r) {
         std::printf("%-14s %6zu/%-5zu %12.4f %14.5f %12zu/%zu\n", name,
                     r.metrics.packets_delivered, r.metrics.packets_attempted,
-                    r.metrics.mean_ber(), r.metrics.throughput(), r.overhear_failures,
-                    r.overhear_attempts);
+                    r.metrics.mean_ber(), r.metrics.throughput(),
+                    static_cast<std::size_t>(r.scalars.at("overhear_failures")),
+                    static_cast<std::size_t>(r.scalars.at("overhear_attempts")));
     };
     row("traditional", traditional);
     row("COPE", cope);

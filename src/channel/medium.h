@@ -94,7 +94,7 @@ public:
 
     /// The fading epoch applied to every rayleigh_block link during
     /// receive(): a logical packet/exchange counter the simulation
-    /// advances (once per exchange in the sim/ runners), so successive
+    /// advances (once per exchange in sim::run), so successive
     /// packets see independent fades while schemes replaying the same
     /// epoch sequence see identical ones.  No effect on fixed links.
     void set_fading_epoch(std::uint64_t epoch) { fading_epoch_ = epoch; }

@@ -1,9 +1,7 @@
-// The topology runners (sim/) wrapped as engine scenarios.
+// The builtin scenarios: one table row per (name, topology, fading).
 //
-// Each adapter maps the uniform Scenario_config onto the topology's
-// concrete config struct, dispatches on scheme, and repackages the
-// result's topology-specific CDFs/counters into the named series/scalar
-// maps.
+// Every row runs sim::run over a net::Topology value; the result's named
+// series and scalars pass straight through to the engine.
 //
 // The *_fading variants run the same topologies over Rayleigh
 // block-fading links (Rahimian et al., PAPERS.md): every link gain is
@@ -13,21 +11,32 @@
 // scheme-collapsed tasks still share channel realizations.
 
 #include <memory>
-#include <stdexcept>
 
 #include "engine/scenario.h"
-#include "sim/alice_bob.h"
-#include "sim/chain.h"
-#include "sim/x_topology.h"
+#include "sim/simulator.h"
 
 namespace anc::engine {
 
 namespace {
 
-sim::Alice_bob_config alice_bob_config_for(const Scenario_config& config,
-                                           std::uint64_t seed)
+struct Builtin {
+    const char* name;
+    const net::Topology& (*topology)();
+    bool fading;
+};
+
+constexpr Builtin builtins[] = {
+    {"alice_bob", net::alice_bob, false},
+    {"x_topology", net::x_topology, false},
+    {"chain", net::chain, false},
+    {"alice_bob_fading", net::alice_bob, true},
+    {"x_topology_fading", net::x_topology, true},
+};
+
+Scenario_result run_builtin(const Builtin& row, const Scenario_config& config,
+                            std::uint64_t seed)
 {
-    sim::Alice_bob_config sim_config;
+    sim::Sim_config sim_config;
     sim_config.payload_bits = config.payload_bits;
     sim_config.exchanges = config.exchanges;
     sim_config.snr_db = config.snr_db;
@@ -36,137 +45,24 @@ sim::Alice_bob_config alice_bob_config_for(const Scenario_config& config,
     sim_config.receiver = config.receiver;
     sim_config.math_profile = config.math_profile;
     sim_config.seed = seed;
-    return sim_config;
-}
-
-Scenario_result run_alice_bob_sim(const Scenario_config& config,
-                                  const sim::Alice_bob_config& sim_config)
-{
-    sim::Alice_bob_result sim_result;
-    if (config.scheme == "traditional")
-        sim_result = sim::run_alice_bob_traditional(sim_config);
-    else if (config.scheme == "cope")
-        sim_result = sim::run_alice_bob_cope(sim_config);
-    else
-        sim_result = sim::run_alice_bob_anc(sim_config);
-
-    Scenario_result result;
-    result.metrics = std::move(sim_result.metrics);
-    result.series["ber_at_alice"] = std::move(sim_result.ber_at_alice);
-    result.series["ber_at_bob"] = std::move(sim_result.ber_at_bob);
-    // Channel-state series, present only on fading runs so fixed-gain
-    // sweep JSON stays byte-identical to the pre-series emitters.
-    if (!sim_result.fade_magnitude.empty())
-        result.series["fade_magnitude"] = std::move(sim_result.fade_magnitude);
-    return result;
-}
-
-Scenario_result run_alice_bob(const Scenario_config& config, std::uint64_t seed)
-{
-    return run_alice_bob_sim(config, alice_bob_config_for(config, seed));
-}
-
-Scenario_result run_alice_bob_fading(const Scenario_config& config, std::uint64_t seed)
-{
-    sim::Alice_bob_config sim_config = alice_bob_config_for(config, seed);
-    sim_config.fading.model = chan::Gain_model::rayleigh_block;
-    sim_config.fading.coherence_block = config.coherence_block;
-    sim_config.gains.alice_router *= config.mean_link_gain;
-    sim_config.gains.router_alice *= config.mean_link_gain;
-    sim_config.gains.bob_router *= config.mean_link_gain;
-    sim_config.gains.router_bob *= config.mean_link_gain;
-    return run_alice_bob_sim(config, sim_config);
-}
-
-sim::X_config x_config_for(const Scenario_config& config, std::uint64_t seed)
-{
-    sim::X_config sim_config;
-    sim_config.payload_bits = config.payload_bits;
-    sim_config.exchanges = config.exchanges;
-    sim_config.snr_db = config.snr_db;
-    sim_config.receiver = config.receiver;
-    sim_config.math_profile = config.math_profile;
-    sim_config.seed = seed;
-    return sim_config;
-}
-
-Scenario_result run_x_sim(const Scenario_config& config, const sim::X_config& sim_config)
-{
-    sim::X_result sim_result;
-    if (config.scheme == "traditional")
-        sim_result = sim::run_x_traditional(sim_config);
-    else if (config.scheme == "cope")
-        sim_result = sim::run_x_cope(sim_config);
-    else
-        sim_result = sim::run_x_anc(sim_config);
-
-    Scenario_result result;
-    result.metrics = std::move(sim_result.metrics);
-    result.series["ber_at_n2"] = std::move(sim_result.ber_at_n2);
-    result.series["ber_at_n4"] = std::move(sim_result.ber_at_n4);
-    if (!sim_result.fade_magnitude.empty())
-        result.series["fade_magnitude"] = std::move(sim_result.fade_magnitude);
-    result.scalars["overhear_attempts"] =
-        static_cast<double>(sim_result.overhear_attempts);
-    result.scalars["overhear_failures"] =
-        static_cast<double>(sim_result.overhear_failures);
-    return result;
-}
-
-Scenario_result run_x_topology(const Scenario_config& config, std::uint64_t seed)
-{
-    return run_x_sim(config, x_config_for(config, seed));
-}
-
-Scenario_result run_x_topology_fading(const Scenario_config& config, std::uint64_t seed)
-{
-    sim::X_config sim_config = x_config_for(config, seed);
-    sim_config.fading.model = chan::Gain_model::rayleigh_block;
-    sim_config.fading.coherence_block = config.coherence_block;
-    sim_config.gains.spoke *= config.mean_link_gain;
-    sim_config.gains.overhear *= config.mean_link_gain;
-    sim_config.gains.cross *= config.mean_link_gain;
-    return run_x_sim(config, sim_config);
-}
-
-Scenario_result run_chain(const Scenario_config& config, std::uint64_t seed)
-{
-    sim::Chain_config sim_config;
-    sim_config.payload_bits = config.payload_bits;
-    sim_config.packets = config.exchanges;
-    sim_config.snr_db = config.snr_db;
-    sim_config.receiver = config.receiver;
-    sim_config.math_profile = config.math_profile;
-    sim_config.seed = seed;
-
-    const sim::Chain_result sim_result = config.scheme == "traditional"
-                                             ? sim::run_chain_traditional(sim_config)
-                                             : sim::run_chain_anc(sim_config);
-
-    Scenario_result result;
-    result.metrics = sim_result.metrics;
-    result.series["ber_at_n2"] = sim_result.ber_at_n2;
-    return result;
+    if (!row.fading)
+        return sim::run(row.topology(), config.scheme, sim_config);
+    sim_config.fading = {chan::Gain_model::rayleigh_block, config.coherence_block};
+    return sim::run(net::with_gain_scaled(row.topology(), config.mean_link_gain),
+                    config.scheme, sim_config);
 }
 
 } // namespace
 
 void register_builtin_scenarios(Scenario_registry& registry)
 {
-    registry.add(std::make_unique<Function_scenario>(
-        "alice_bob", std::vector<std::string>{"traditional", "cope", "anc"},
-        run_alice_bob));
-    registry.add(std::make_unique<Function_scenario>(
-        "x_topology", std::vector<std::string>{"traditional", "cope", "anc"},
-        run_x_topology));
-    registry.add(std::make_unique<Function_scenario>(
-        "chain", std::vector<std::string>{"traditional", "anc"}, run_chain));
-    registry.add(std::make_unique<Function_scenario>(
-        "alice_bob_fading", std::vector<std::string>{"traditional", "cope", "anc"},
-        run_alice_bob_fading));
-    registry.add(std::make_unique<Function_scenario>(
-        "x_topology_fading", std::vector<std::string>{"traditional", "cope", "anc"},
-        run_x_topology_fading));
+    for (const Builtin& row : builtins) {
+        registry.add(std::make_unique<Function_scenario>(
+            row.name, sim::schemes(row.topology()),
+            [&row](const Scenario_config& config, std::uint64_t seed) {
+                return run_builtin(row, config, seed);
+            }));
+    }
 }
 
 } // namespace anc::engine

@@ -1,16 +1,16 @@
-// Scenario registry: a uniform interface over the topology runners.
+// Scenario registry: a uniform interface over the topology simulations.
 //
 // Every evaluation in the paper (Figs. 9, 10, 12, 13 and the ablations)
 // is "run a topology under a scheme at an operating point, many times,
 // and aggregate".  A `Scenario` abstracts one topology (Alice-Bob, X,
 // chain) behind a name, a declared set of schemes (its config schema),
 // and a pure `run(config, seed)` entry point, so the sweep engine can
-// expand grids over scenarios without knowing any topology's concrete
-// config struct.
+// expand grids over scenarios without knowing any topology's data.
 //
 // Scenarios must be *pure*: all randomness flows from the seed argument,
 // and `run` must be safe to call concurrently from many threads (no
-// mutable shared state).  Every builtin runner already satisfies this.
+// mutable shared state).  Every builtin scenario (sim::run over a
+// net::Topology value) satisfies this.
 
 #pragma once
 
@@ -20,11 +20,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/anc_receiver.h"
 #include "dsp/math_profile.h"
-#include "sim/metrics.h"
+#include "sim/simulator.h"
 #include "util/obs.h"
 #include "util/stats.h"
 
@@ -65,14 +66,15 @@ struct Scenario_config {
     dsp::Math_profile math_profile = dsp::Math_profile::exact;
 };
 
-/// What one run produces: the standard metrics plus named auxiliary
-/// sample series (per-packet BER at a specific node, ...) and scalar
-/// counters (overhear failures, ...).  Keyed maps keep the engine
-/// topology-agnostic while letting drivers reach scenario specifics.
-struct Scenario_result {
-    sim::Run_metrics metrics;
-    std::map<std::string, Cdf> series;
-    std::map<std::string, double> scalars;
+/// What one run produces: sim::Sim_result — the standard metrics plus
+/// named auxiliary sample series (per-packet BER at a specific node, ...)
+/// and scalar counters (overhear failures, ...).  Keyed maps keep the
+/// engine topology-agnostic while letting drivers reach scenario
+/// specifics.
+struct Scenario_result : sim::Sim_result {
+    Scenario_result() = default;
+    Scenario_result(sim::Sim_result result) : sim::Sim_result{std::move(result)} {}
+
     /// Telemetry captured while the task ran (empty unless the executor
     /// ran with `Executor_config::telemetry` set).  Deliberately *not*
     /// part of `scalars`: the sweep emitters never read it, so enabling
@@ -118,7 +120,7 @@ private:
 };
 
 /// Name -> scenario lookup.  Registration of a duplicate name throws;
-/// the builtin registry carries the three topology runners.
+/// the builtin registry carries the five topology scenarios.
 class Scenario_registry {
 public:
     /// Throws std::invalid_argument when the name is already taken (or
@@ -145,7 +147,7 @@ private:
     std::vector<std::unique_ptr<const Scenario>> scenarios_;
 };
 
-/// Registers the builtin topology runners (fixed-gain and fading) into
+/// Registers the builtin topology scenarios (fixed-gain and fading) into
 /// `registry` (exposed so tests can build private registries that
 /// mirror the builtin one).
 void register_builtin_scenarios(Scenario_registry& registry);

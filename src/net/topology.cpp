@@ -6,10 +6,10 @@ namespace anc::net {
 
 namespace {
 
-chan::Link_params link_with(double gain, const Link_fading& fading, Pcg32& rng)
+chan::Link_params link_with(const Link_spec& spec, const Link_fading& fading, Pcg32& rng)
 {
     chan::Link_params params;
-    params.gain = gain;
+    params.gain = spec.gain;
     params.phase = rng.next_double() * 2.0 * std::numbers::pi;
     // Real radio pairs never share an oscillator: a few-ppm carrier
     // frequency offset makes the relative phase of any two signals drift.
@@ -25,51 +25,93 @@ chan::Link_params link_with(double gain, const Link_fading& fading, Pcg32& rng)
         params.coherence_block = fading.coherence_block;
         params.fading_seed = rng.next_u64();
     }
+    params.detection_threshold_db = spec.detection_threshold_db;
     return params;
+}
+
+/// Link `a` and `b` both ways.
+void add_pair(Topology& topology, chan::Node_id a, chan::Node_id b, double gain)
+{
+    topology.links.push_back({a, b, gain});
+    topology.links.push_back({b, a, gain});
 }
 
 } // namespace
 
-void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
-                       const Alice_bob_gains& gains, const Link_fading& fading,
-                       Pcg32& rng)
+const Topology& alice_bob()
 {
-    medium.set_link(nodes.alice, nodes.router, link_with(gains.alice_router, fading, rng));
-    medium.set_link(nodes.router, nodes.alice, link_with(gains.router_alice, fading, rng));
-    medium.set_link(nodes.bob, nodes.router, link_with(gains.bob_router, fading, rng));
-    medium.set_link(nodes.router, nodes.bob, link_with(gains.router_bob, fading, rng));
+    using namespace node;
+    static const Topology topology{
+        .nodes = {alice, router, bob},
+        .links = {{alice, router, 0.95},
+                  {router, alice, 0.95},
+                  {bob, router, 0.90},
+                  {router, bob, 0.90}},
+        .rng_stream = 0x0a11ce0bu,
+        .flows = {{alice, {router}, bob}, {bob, {router}, alice}},
+        .ber_series = {{alice, "ber_at_alice"}, {bob, "ber_at_bob"}},
+        .alice_amplitude_node = alice,
+        .bob_amplitude_node = bob,
+    };
+    return topology;
 }
 
-void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
-                   const Chain_gains& gains, const Link_fading& fading, Pcg32& rng)
+const Topology& x_topology()
 {
-    const chan::Node_id ids[] = {nodes.n1, nodes.n2, nodes.n3, nodes.n4};
-    for (int i = 0; i < 3; ++i) {
-        medium.set_link(ids[i], ids[i + 1], link_with(gains.adjacent, fading, rng));
-        medium.set_link(ids[i + 1], ids[i], link_with(gains.adjacent, fading, rng));
-    }
+    using namespace node;
+    static const Topology topology = [] {
+        Topology t;
+        t.nodes = {n1, n2, n3, n4, n5};
+        t.rng_stream = 0x0f2a9u;
+        t.flows = {{n1, {n5}, n4, n2}, {n3, {n5}, n2, n4}};
+        t.ber_series = {{n2, "ber_at_n2"}, {n4, "ber_at_n4"}};
+        for (const chan::Node_id spoke : {n1, n2, n3, n4})
+            add_pair(t, spoke, n5, 0.92);
+        // The overhear links sit ~6 dB below a spoke (gain 0.5), so at
+        // 20 dB SNR a snooped packet lands ~14 dB above the floor — under
+        // the standard 15 dB carrier-sense threshold, which silently
+        // zeroed every COPE delivery there (the demodulator itself is
+        // fine at 14 dB).  A deliberate snooper listens lower by the
+        // link's budget deficit: 15 − 6 = 9 dB, the
+        // chan::agc_detection_threshold_db rule rounded to the
+        // historical value.
+        t.links.push_back({n1, n2, 0.50, 9.0});
+        t.links.push_back({n3, n4, 0.50, 9.0});
+        t.links.push_back({n3, n2, 0.25});
+        t.links.push_back({n1, n4, 0.25});
+        return t;
+    }();
+    return topology;
 }
 
-void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
-               const Link_fading& fading, Pcg32& rng)
+const Topology& chain()
 {
-    for (const chan::Node_id spoke : {nodes.n1, nodes.n2, nodes.n3, nodes.n4}) {
-        medium.set_link(spoke, nodes.n5, link_with(gains.spoke, fading, rng));
-        medium.set_link(nodes.n5, spoke, link_with(gains.spoke, fading, rng));
-    }
-    // Overhearing links carry the per-link AGC detection threshold: a
-    // node snooping a clean upload listens below the standard
-    // carrier-sense threshold by the link's budget deficit (the
-    // promoted Medium-layer form of the old X_config snoop knob).
-    chan::Link_params overhear_12 = link_with(gains.overhear, fading, rng);
-    overhear_12.detection_threshold_db = gains.overhear_detection_threshold_db;
-    medium.set_link(nodes.n1, nodes.n2, overhear_12);
-    chan::Link_params overhear_34 = link_with(gains.overhear, fading, rng);
-    overhear_34.detection_threshold_db = gains.overhear_detection_threshold_db;
-    medium.set_link(nodes.n3, nodes.n4, overhear_34);
-    // Weak cross links: the other sender is audible while overhearing.
-    medium.set_link(nodes.n3, nodes.n2, link_with(gains.cross, fading, rng));
-    medium.set_link(nodes.n1, nodes.n4, link_with(gains.cross, fading, rng));
+    using namespace node;
+    static const Topology topology = [] {
+        Topology t;
+        t.nodes = {n1, n2, n3, n4};
+        t.rng_stream = 0xc4a17u;
+        t.flows = {{n1, {n2, n3}, n4}};
+        t.ber_series = {{n2, "ber_at_n2"}};
+        for (const chan::Node_id n : {n1, n2, n3})
+            add_pair(t, n, n + 1, 0.92);
+        return t;
+    }();
+    return topology;
+}
+
+Topology with_gain_scaled(Topology topology, double factor)
+{
+    for (Link_spec& link : topology.links)
+        link.gain *= factor;
+    return topology;
+}
+
+void install(chan::Medium& medium, const Topology& topology, const Link_fading& fading,
+             Pcg32& rng)
+{
+    for (const Link_spec& link : topology.links)
+        medium.set_link(link.from, link.to, link_with(link, fading, rng));
 }
 
 } // namespace anc::net

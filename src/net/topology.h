@@ -1,5 +1,10 @@
-// The paper's three canonical topologies (Figs. 1, 2, 11) as link plans
-// for the channel substrate.
+// The paper's three canonical topologies (Figs. 1, 2, 11) as data.
+//
+// A topology is who hears whom (directed links with gains), which flows
+// cross it, and who already knows which packet.  Alice-Bob (Fig. 1) is
+// the X topology (Fig. 11) in which each destination is the other flow's
+// sender, so it needs no overhearing; the chain (Fig. 2) is one flow over
+// two relays.  sim/simulator.h runs every scheme over any of them.
 //
 // Every link gets an independent random phase shift (real channels do not
 // share oscillator geometry); gains default to a mildly asymmetric,
@@ -8,7 +13,11 @@
 
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "channel/medium.h"
 #include "util/rng.h"
@@ -27,76 +36,79 @@ struct Link_fading {
     std::size_t coherence_block = 4096;
 };
 
-// ---- Alice-Bob (Fig. 1): Alice <-> Router <-> Bob --------------------
-
-struct Alice_bob_nodes {
-    chan::Node_id alice = 1;
-    chan::Node_id router = 2;
-    chan::Node_id bob = 3;
+/// One directed link.  Pairs without a link are out of radio range.
+struct Link_spec {
+    chan::Node_id from = 0;
+    chan::Node_id to = 0;
+    double gain = 1.0;
+    /// Per-link AGC detection threshold (chan::Link_params), consulted by
+    /// a node snooping a *clean* transmission over this link; empty keeps
+    /// the standard carrier-sense threshold.
+    std::optional<double> detection_threshold_db{};
 };
 
-struct Alice_bob_gains {
-    double alice_router = 0.95;
-    double router_alice = 0.95;
-    double bob_router = 0.90;
-    double router_bob = 0.90;
+/// One flow: source -> relays... -> destination.
+struct Flow_spec {
+    chan::Node_id source = 0;
+    std::vector<chan::Node_id> relays;
+    chan::Node_id destination = 0;
+    /// The node that snoops the source's clean transmission: the other
+    /// flow's destination, when that node is not this flow's source
+    /// (the X topology, §11.5).  Empty when the side information is the
+    /// destination's own sent packet (Alice-Bob) or not needed (chain).
+    std::optional<chan::Node_id> overheard_by{};
 };
 
-/// Install the four directed links; Alice and Bob are out of range of
-/// each other (no direct link).
-void install_alice_bob(chan::Medium& medium, const Alice_bob_nodes& nodes,
-                       const Alice_bob_gains& gains, const Link_fading& fading,
-                       Pcg32& rng);
-
-// ---- Chain (Fig. 2): N1 -> N2 -> N3 -> N4 ----------------------------
-
-struct Chain_nodes {
-    chan::Node_id n1 = 1;
-    chan::Node_id n2 = 2;
-    chan::Node_id n3 = 3;
-    chan::Node_id n4 = 4;
+struct Topology {
+    std::vector<chan::Node_id> nodes;
+    /// Installed in this order: each link draws its phase, drift and
+    /// fading seed from the install rng in turn, so the order is part of
+    /// every seed's byte contract.
+    std::vector<Link_spec> links;
+    /// Stream id of the run's root rng (Pcg32{seed, rng_stream}).
+    std::uint64_t rng_stream = 0;
+    std::vector<Flow_spec> flows;
+    /// Per-packet BER series: (decoding node, series name).
+    std::vector<std::pair<chan::Node_id, std::string>> ber_series;
+    /// Nodes that take the alice_amplitude / bob_amplitude axes (Fig. 13);
+    /// every other node transmits at unit amplitude.
+    std::optional<chan::Node_id> alice_amplitude_node{};
+    std::optional<chan::Node_id> bob_amplitude_node{};
 };
 
-struct Chain_gains {
-    double adjacent = 0.92; // every adjacent hop, both directions
-};
+/// Node ids of the builtin topologies: Alice-Bob's (Fig. 1) and the
+/// numbered nodes of the chain (Fig. 2) and the X (Fig. 11; N5 is its
+/// router).
+namespace node {
+inline constexpr chan::Node_id alice = 1;
+inline constexpr chan::Node_id router = 2;
+inline constexpr chan::Node_id bob = 3;
+inline constexpr chan::Node_id n1 = 1;
+inline constexpr chan::Node_id n2 = 2;
+inline constexpr chan::Node_id n3 = 3;
+inline constexpr chan::Node_id n4 = 4;
+inline constexpr chan::Node_id n5 = 5;
+} // namespace node
 
-/// Adjacent nodes are linked both ways; nodes two or more hops apart are
-/// out of radio range (N4 never hears N1 — the premise of §2(b)).
-void install_chain(chan::Medium& medium, const Chain_nodes& nodes,
-                   const Chain_gains& gains, const Link_fading& fading, Pcg32& rng);
+/// Fig. 1: Alice (1) <-> Router (2) <-> Bob (3); Alice and Bob are out of
+/// range of each other.
+const Topology& alice_bob();
 
-// ---- "X" (Fig. 11): N1, N3 send through N5 to N4, N2 ------------------
+/// Fig. 11: N1 -> N4 and N3 -> N2 through the router N5.  N2 overhears
+/// N1 and N4 overhears N3 over weak links that carry a lowered detection
+/// threshold; the weak cross links N3 -> N2 and N1 -> N4 make the other
+/// sender audible while overhearing (the cause of §11.5's losses).
+const Topology& x_topology();
 
-struct X_nodes {
-    chan::Node_id n1 = 1; // sender of flow 1 (to n4)
-    chan::Node_id n2 = 2; // destination of flow 2; overhears n1
-    chan::Node_id n3 = 3; // sender of flow 2 (to n2)
-    chan::Node_id n4 = 4; // destination of flow 1; overhears n3
-    chan::Node_id n5 = 5; // the router in the middle
-};
+/// Fig. 2: N1 -> N2 -> N3 -> N4; adjacent nodes are linked both ways,
+/// nodes two or more hops apart are out of range (§2(b)).
+const Topology& chain();
 
-struct X_gains {
-    double spoke = 0.92;    // every node <-> router link
-    double overhear = 0.50; // n1 -> n2 and n3 -> n4 (the snooping links)
-    double cross = 0.25;    // n3 -> n2 and n1 -> n4 (interference while
-                            // overhearing; the cause of §11.5's losses)
-    /// Per-link AGC detection threshold installed on the two overhear
-    /// links (chan::Link_params::detection_threshold_db), consulted by
-    /// nodes snooping a *clean* transmission.  The standard 15 dB
-    /// carrier-sense threshold sits above the overhear link's entire
-    /// budget at the bottom of the operating band: gain 0.5 puts the
-    /// snooped power ~6 dB below a unit-gain link, so at 20 dB SNR the
-    /// packet lands ~14 dB above the floor — under 15 dB, which silently
-    /// zeroed every COPE delivery there (every seed; the demodulator
-    /// itself is fine at 14 dB).  A deliberate snooper listens lower by
-    /// the link's budget deficit: 15 − 6 = 9 dB, the
-    /// chan::agc_detection_threshold_db rule rounded to the historical
-    /// value.  Empty disables the override (pre-fix behavior).
-    std::optional<double> overhear_detection_threshold_db = 9.0;
-};
+/// Multiply every link gain by `factor` (the mean_link_gain axis).
+Topology with_gain_scaled(Topology topology, double factor);
 
-void install_x(chan::Medium& medium, const X_nodes& nodes, const X_gains& gains,
-               const Link_fading& fading, Pcg32& rng);
+/// Install every link of `topology` into `medium`.
+void install(chan::Medium& medium, const Topology& topology, const Link_fading& fading,
+             Pcg32& rng);
 
 } // namespace anc::net

@@ -1,5 +1,5 @@
-// The per-link AGC detection threshold (the promoted Medium-layer form
-// of the old X_config snoop knob): storage on Link_params, query/set
+// The per-link AGC detection threshold (a Medium-layer property of the
+// X topology's overhear links): storage on Link_params, query/set
 // through the Medium, and the AGC derivation rule.
 
 #include <gtest/gtest.h>
@@ -64,19 +64,17 @@ TEST(DetectionThreshold, AgcRuleLowersByTheBudgetDeficit)
 TEST(DetectionThreshold, InstallXStampsTheOverhearLinks)
 {
     Medium medium{0.0, Pcg32{3}};
-    net::X_nodes nodes;
-    net::X_gains gains;
     Pcg32 rng{5, 5};
-    net::install_x(medium, nodes, gains, net::Link_fading{}, rng);
+    net::install(medium, net::x_topology(), net::Link_fading{}, rng);
     // The two snooping links carry the default 9 dB AGC threshold...
-    ASSERT_TRUE(medium.detection_threshold_db(nodes.n1, nodes.n2).has_value());
-    EXPECT_DOUBLE_EQ(*medium.detection_threshold_db(nodes.n1, nodes.n2), 9.0);
-    ASSERT_TRUE(medium.detection_threshold_db(nodes.n3, nodes.n4).has_value());
-    EXPECT_DOUBLE_EQ(*medium.detection_threshold_db(nodes.n3, nodes.n4), 9.0);
+    ASSERT_TRUE(medium.detection_threshold_db(net::node::n1, net::node::n2).has_value());
+    EXPECT_DOUBLE_EQ(*medium.detection_threshold_db(net::node::n1, net::node::n2), 9.0);
+    ASSERT_TRUE(medium.detection_threshold_db(net::node::n3, net::node::n4).has_value());
+    EXPECT_DOUBLE_EQ(*medium.detection_threshold_db(net::node::n3, net::node::n4), 9.0);
     // ...and nothing else does.
-    EXPECT_FALSE(medium.detection_threshold_db(nodes.n1, nodes.n5).has_value());
-    EXPECT_FALSE(medium.detection_threshold_db(nodes.n5, nodes.n2).has_value());
-    EXPECT_FALSE(medium.detection_threshold_db(nodes.n3, nodes.n2).has_value());
+    EXPECT_FALSE(medium.detection_threshold_db(net::node::n1, net::node::n5).has_value());
+    EXPECT_FALSE(medium.detection_threshold_db(net::node::n5, net::node::n2).has_value());
+    EXPECT_FALSE(medium.detection_threshold_db(net::node::n3, net::node::n2).has_value());
 }
 
 } // namespace

@@ -233,10 +233,8 @@ TEST(OpsInPlace, MediumReceiveIntoMatchesReceive)
     // through the value and the into-buffer paths.
     const auto build = [] {
         chan::Medium medium{0.05, Pcg32{77, 3}};
-        net::Alice_bob_nodes nodes;
-        net::Alice_bob_gains gains;
         Pcg32 link_rng{78, 4};
-        install_alice_bob(medium, nodes, gains, net::Link_fading{}, link_rng);
+        net::install(medium, net::alice_bob(), net::Link_fading{}, link_rng);
         return medium;
     };
     chan::Medium value_medium = build();
@@ -244,12 +242,11 @@ TEST(OpsInPlace, MediumReceiveIntoMatchesReceive)
 
     const Signal signal_a = make_test_signal(300, 63);
     const Signal signal_b = make_test_signal(280, 64);
-    net::Alice_bob_nodes nodes;
-    const chan::Transmission txs[] = {{nodes.alice, signal_a, 17},
-                                      {nodes.bob, signal_b, 40}};
-    const Signal expected = value_medium.receive(nodes.router, txs, 64);
+    const chan::Transmission txs[] = {{net::node::alice, signal_a, 17},
+                                      {net::node::bob, signal_b, 40}};
+    const Signal expected = value_medium.receive(net::node::router, txs, 64);
     Signal out;
-    into_medium.receive_into(nodes.router, txs, 64, out);
+    into_medium.receive_into(net::node::router, txs, 64, out);
     expect_identical(expected, out);
 }
 

@@ -10,7 +10,7 @@
 
 #include "engine/emit.h"
 #include "engine/engine.h"
-#include "sim/alice_bob.h"
+#include "sim/simulator.h"
 
 namespace anc::engine {
 namespace {
@@ -65,6 +65,26 @@ TEST(FadeSeries, SeriesAppearsInFadingSweepJson)
     EXPECT_NE(json.find("\"fade_magnitude\":{"), std::string::npos);
 }
 
+TEST(FadeSeries, CopeRecordsItsBroadcastOnEveryTopology)
+{
+    // Quasi-static fading (coherence_block 0) records exactly one |h| per
+    // transmitted link: COPE's two uploads per exchange, plus both
+    // downlinks of every XOR broadcast.  A delivery needs a broadcast, so
+    // the series must hold more than the uploads alone — on the X
+    // topology as on Alice-Bob.
+    for (const char* name : {"alice_bob_fading", "x_topology_fading"}) {
+        Scenario_config config = fading_config();
+        config.scheme = "cope";
+        config.coherence_block = 0;
+        const Scenario_result result = Scenario_registry::builtin().at(name).run(config, 5);
+        ASSERT_GT(result.metrics.packets_delivered, 0u) << name;
+        const std::size_t uploads = 2 * config.exchanges;
+        const std::size_t fades = result.series.at("fade_magnitude").count();
+        EXPECT_GE(fades, uploads + 2) << name;
+        EXPECT_EQ((fades - uploads) % 2, 0u) << name;
+    }
+}
+
 TEST(FadeSeries, RecordingIsPureAndSchemePaired)
 {
     // Same seed, different schemes: the scheme-collapsed design means
@@ -72,18 +92,19 @@ TEST(FadeSeries, RecordingIsPureAndSchemePaired)
     // links — the uplink fade series they record must agree wherever
     // both record the same transmissions (first exchange's uplinks), and
     // recording must be replay-deterministic.
-    sim::Alice_bob_config config;
+    sim::Sim_config config;
     config.payload_bits = 512;
     config.exchanges = 2;
     config.fading.model = chan::Gain_model::rayleigh_block;
     config.fading.coherence_block = 1024;
     config.seed = 99;
-    const sim::Alice_bob_result once = sim::run_alice_bob_anc(config);
-    const sim::Alice_bob_result again = sim::run_alice_bob_anc(config);
-    ASSERT_EQ(once.fade_magnitude.count(), again.fade_magnitude.count());
-    EXPECT_EQ(once.fade_magnitude.sorted_samples(),
-              again.fade_magnitude.sorted_samples());
-    EXPECT_GT(once.fade_magnitude.count(), 0u);
+    const sim::Sim_result once = sim::run(net::alice_bob(), "anc", config);
+    const sim::Sim_result again = sim::run(net::alice_bob(), "anc", config);
+    const Cdf& fades_once = once.series.at("fade_magnitude");
+    const Cdf& fades_again = again.series.at("fade_magnitude");
+    ASSERT_EQ(fades_once.count(), fades_again.count());
+    EXPECT_EQ(fades_once.sorted_samples(), fades_again.sorted_samples());
+    EXPECT_GT(fades_once.count(), 0u);
 }
 
 } // namespace

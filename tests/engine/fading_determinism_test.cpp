@@ -94,15 +94,14 @@ TEST(FadingDeterminism, PairedSchemesSeeIdenticalLinkRealizations)
     chan::Medium medium_b{0.01, Pcg32{1, 2}};
     Pcg32 rng_a{555, 0x0a11ce0bu};
     Pcg32 rng_b{555, 0x0a11ce0bu};
-    const net::Alice_bob_nodes nodes;
-    install_alice_bob(medium_a, nodes, net::Alice_bob_gains{}, fading, rng_a);
-    install_alice_bob(medium_b, nodes, net::Alice_bob_gains{}, fading, rng_b);
+    net::install(medium_a, net::alice_bob(), fading, rng_a);
+    net::install(medium_b, net::alice_bob(), fading, rng_b);
 
     const std::pair<chan::Node_id, chan::Node_id> pairs[] = {
-        {nodes.alice, nodes.router},
-        {nodes.router, nodes.alice},
-        {nodes.bob, nodes.router},
-        {nodes.router, nodes.bob},
+        {net::node::alice, net::node::router},
+        {net::node::router, net::node::alice},
+        {net::node::bob, net::node::router},
+        {net::node::router, net::node::bob},
     };
     for (const auto& [from, to] : pairs) {
         const chan::Link_params& a = medium_a.link(from, to).params();
@@ -114,8 +113,8 @@ TEST(FadingDeterminism, PairedSchemesSeeIdenticalLinkRealizations)
         EXPECT_EQ(a.fading_seed, b.fading_seed);
     }
     // Distinct links fade independently.
-    EXPECT_NE(medium_a.link(nodes.alice, nodes.router).params().fading_seed,
-              medium_a.link(nodes.router, nodes.alice).params().fading_seed);
+    EXPECT_NE(medium_a.link(net::node::alice, net::node::router).params().fading_seed,
+              medium_a.link(net::node::router, net::node::alice).params().fading_seed);
 }
 
 TEST(FadingDeterminism, MediumEpochRefreshesFadesPerExchange)

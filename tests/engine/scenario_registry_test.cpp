@@ -5,7 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "sim/alice_bob.h"
+#include "sim/simulator.h"
 
 namespace anc::engine {
 namespace {
@@ -83,7 +83,7 @@ TEST(ScenarioRegistry, RunRejectsUnsupportedScheme)
 
 TEST(ScenarioRegistry, AliceBobScenarioMatchesDirectRunner)
 {
-    // The adapter must be a faithful pass-through of the sim runner.
+    // The builtin row must be a faithful pass-through of sim::run.
     Scenario_config config;
     config.scheme = "anc";
     config.payload_bits = 1024;
@@ -92,19 +92,20 @@ TEST(ScenarioRegistry, AliceBobScenarioMatchesDirectRunner)
     const Scenario_result via_engine =
         Scenario_registry::builtin().at("alice_bob").run(config, 77);
 
-    sim::Alice_bob_config direct;
+    sim::Sim_config direct;
     direct.payload_bits = 1024;
     direct.exchanges = 4;
     direct.snr_db = 25.0;
     direct.seed = 77;
-    const sim::Alice_bob_result expected = sim::run_alice_bob_anc(direct);
+    const sim::Sim_result expected = sim::run(net::alice_bob(), "anc", direct);
 
     EXPECT_EQ(via_engine.metrics.packets_delivered, expected.metrics.packets_delivered);
     EXPECT_DOUBLE_EQ(via_engine.metrics.airtime_symbols,
                      expected.metrics.airtime_symbols);
     EXPECT_DOUBLE_EQ(via_engine.metrics.mean_ber(), expected.metrics.mean_ber());
     ASSERT_EQ(via_engine.series.count("ber_at_alice"), 1u);
-    EXPECT_EQ(via_engine.series.at("ber_at_alice").count(), expected.ber_at_alice.count());
+    EXPECT_EQ(via_engine.series.at("ber_at_alice").count(),
+              expected.series.at("ber_at_alice").count());
 }
 
 } // namespace

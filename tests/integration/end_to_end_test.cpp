@@ -12,9 +12,7 @@
 
 #include "capacity/capacity.h"
 #include "engine/engine.h"
-#include "sim/alice_bob.h"
-#include "sim/chain.h"
-#include "sim/x_topology.h"
+#include "sim/simulator.h"
 #include "util/db.h"
 
 namespace anc::sim {
@@ -23,13 +21,14 @@ namespace {
 TEST(EndToEnd, SchemeOrderingOnAliceBob)
 {
     // ANC > COPE > traditional in throughput, as in §11.4.
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 10;
     config.seed = 42;
-    const double anc = run_alice_bob_anc(config).metrics.throughput();
-    const double cope = run_alice_bob_cope(config).metrics.throughput();
-    const double traditional = run_alice_bob_traditional(config).metrics.throughput();
+    const double anc = run(net::alice_bob(), "anc", config).metrics.throughput();
+    const double cope = run(net::alice_bob(), "cope", config).metrics.throughput();
+    const double traditional =
+        run(net::alice_bob(), "traditional", config).metrics.throughput();
     EXPECT_GT(anc, cope);
     EXPECT_GT(cope, traditional);
 }
@@ -38,13 +37,13 @@ TEST(EndToEnd, SlotRatiosApproximateTheory)
 {
     // Airtime per delivered packet should approach the 2:3:4 slot pattern
     // of Fig. 1 (ANC pays extra for jitter).
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 10;
     config.seed = 43;
-    const auto anc = run_alice_bob_anc(config);
-    const auto cope = run_alice_bob_cope(config);
-    const auto traditional = run_alice_bob_traditional(config);
+    const auto anc = run(net::alice_bob(), "anc", config);
+    const auto cope = run(net::alice_bob(), "cope", config);
+    const auto traditional = run(net::alice_bob(), "traditional", config);
 
     const double anc_air = anc.metrics.airtime_symbols
         / static_cast<double>(anc.metrics.packets_attempted);
@@ -67,19 +66,19 @@ TEST(EndToEnd, ChainGainBelowAliceBobGain)
 {
     // Alice-Bob halves slots (gain -> 2), the chain cuts 3 to 2
     // (gain -> 1.5); the measured ordering must match.
-    Alice_bob_config ab_config;
+    Sim_config ab_config;
     ab_config.payload_bits = 1024;
     ab_config.exchanges = 10;
     ab_config.seed = 44;
-    const double ab_gain = gain(run_alice_bob_anc(ab_config).metrics,
-                                run_alice_bob_traditional(ab_config).metrics);
+    const double ab_gain = gain(run(net::alice_bob(), "anc", ab_config).metrics,
+                                run(net::alice_bob(), "traditional", ab_config).metrics);
 
-    Chain_config chain_config;
+    Sim_config chain_config;
     chain_config.payload_bits = 1024;
-    chain_config.packets = 10;
+    chain_config.exchanges = 10;
     chain_config.seed = 44;
-    const double chain_gain = gain(run_chain_anc(chain_config).metrics,
-                                   run_chain_traditional(chain_config).metrics);
+    const double chain_gain = gain(run(net::chain(), "anc", chain_config).metrics,
+                                   run(net::chain(), "traditional", chain_config).metrics);
 
     EXPECT_GT(ab_gain, chain_gain);
     EXPECT_GT(chain_gain, 1.1);
@@ -88,19 +87,19 @@ TEST(EndToEnd, ChainGainBelowAliceBobGain)
 TEST(EndToEnd, XGainSlightlyBelowAliceBob)
 {
     // §11.5: overhearing losses shave a few points off the X gains.
-    Alice_bob_config ab_config;
+    Sim_config ab_config;
     ab_config.payload_bits = 1024;
     ab_config.exchanges = 12;
     ab_config.seed = 45;
-    const double ab_gain = gain(run_alice_bob_anc(ab_config).metrics,
-                                run_alice_bob_traditional(ab_config).metrics);
+    const double ab_gain = gain(run(net::alice_bob(), "anc", ab_config).metrics,
+                                run(net::alice_bob(), "traditional", ab_config).metrics);
 
-    X_config x_config;
+    Sim_config x_config;
     x_config.payload_bits = 1024;
     x_config.exchanges = 12;
     x_config.seed = 45;
-    const double x_gain = gain(run_x_anc(x_config).metrics,
-                               run_x_traditional(x_config).metrics);
+    const double x_gain = gain(run(net::x_topology(), "anc", x_config).metrics,
+                               run(net::x_topology(), "traditional", x_config).metrics);
 
     EXPECT_LE(x_gain, ab_gain + 0.10);
     EXPECT_GT(x_gain, 1.1);
@@ -110,12 +109,12 @@ TEST(EndToEnd, MeasuredGainBelowCapacityBound)
 {
     // The information-theoretic gain bound (2x) must dominate anything the
     // packet simulation achieves.
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 10;
     config.seed = 46;
-    const double measured = gain(run_alice_bob_anc(config).metrics,
-                                 run_alice_bob_traditional(config).metrics);
+    const double measured = gain(run(net::alice_bob(), "anc", config).metrics,
+                                 run(net::alice_bob(), "traditional", config).metrics);
     const double theoretical = cap::capacity_gain(from_db(config.snr_db));
     EXPECT_LT(measured, 2.0);
     EXPECT_GT(theoretical, measured * 0.8); // same ballpark, theory above
@@ -126,11 +125,11 @@ TEST(EndToEnd, AncBerWellUnderFecBudget)
     // The FEC substrate must be able to absorb the residual BER the
     // decoder leaves: Hamming(7,4) corrects 1/7 ~ 14% worst-case isolated
     // errors, far above the observed means.
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 10;
     config.seed = 47;
-    const auto result = run_alice_bob_anc(config);
+    const auto result = run(net::alice_bob(), "anc", config);
     EXPECT_LT(result.metrics.mean_ber(), 0.08);
 }
 

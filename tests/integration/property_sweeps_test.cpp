@@ -4,8 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/alice_bob.h"
-#include "sim/chain.h"
+#include "sim/simulator.h"
 #include "util/db.h"
 
 namespace anc::sim {
@@ -17,11 +16,11 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, AncAliceBobInvariants)
 {
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 5;
     config.seed = GetParam();
-    const Alice_bob_result result = run_alice_bob_anc(config);
+    const Sim_result result = run(net::alice_bob(), "anc", config);
 
     // Never deliver more than attempted; airtime is positive; BER sane.
     EXPECT_LE(result.metrics.packets_delivered, result.metrics.packets_attempted);
@@ -46,12 +45,12 @@ class SnrSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(SnrSweep, AncDegradesGracefully)
 {
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 5;
     config.seed = 7;
     config.snr_db = GetParam();
-    const Alice_bob_result result = run_alice_bob_anc(config);
+    const Sim_result result = run(net::alice_bob(), "anc", config);
     EXPECT_LE(result.metrics.packets_delivered, result.metrics.packets_attempted);
     if (config.snr_db >= 20.0) {
         EXPECT_GE(result.metrics.delivery_rate(), 0.7) << "snr " << config.snr_db;
@@ -64,12 +63,12 @@ INSTANTIATE_TEST_SUITE_P(OperatingRange, SnrSweep,
 
 TEST_P(SnrSweep, TraditionalRoutingRobust)
 {
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 512;
     config.exchanges = 4;
     config.seed = 8;
     config.snr_db = GetParam();
-    const Alice_bob_result result = run_alice_bob_traditional(config);
+    const Sim_result result = run(net::alice_bob(), "traditional", config);
     EXPECT_EQ(result.metrics.packets_delivered, result.metrics.packets_attempted);
     EXPECT_LT(result.metrics.mean_ber(), 0.01);
 }
@@ -80,11 +79,11 @@ class PayloadSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PayloadSweep, AncWorksAcrossFrameSizes)
 {
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = GetParam();
     config.exchanges = 4;
     config.seed = 9;
-    const Alice_bob_result result = run_alice_bob_anc(config);
+    const Sim_result result = run(net::alice_bob(), "anc", config);
     EXPECT_GE(result.metrics.delivery_rate(), 0.6) << "payload " << GetParam();
     EXPECT_LT(result.metrics.mean_ber(), 0.12) << "payload " << GetParam();
 }
@@ -101,15 +100,15 @@ TEST_P(SirSweep, DecodableAcrossRelativeStrengths)
     // SIR (dB) for decoding *Bob* at Alice: positive means Bob's signal
     // is stronger at the receiver.
     const double sir_db = GetParam();
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 5;
     config.seed = 10;
     config.bob_amplitude = amplitude_from_db(sir_db);
-    const Alice_bob_result result = run_alice_bob_anc(config);
-    ASSERT_FALSE(result.ber_at_alice.empty()) << "sir " << sir_db;
+    const Sim_result result = run(net::alice_bob(), "anc", config);
+    ASSERT_FALSE(result.series.at("ber_at_alice").empty()) << "sir " << sir_db;
     // The paper's claim (§11.7): below 5% BER even at -3 dB SIR.
-    EXPECT_LT(result.ber_at_alice.mean(), 0.08) << "sir " << sir_db;
+    EXPECT_LT(result.series.at("ber_at_alice").mean(), 0.08) << "sir " << sir_db;
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig13Range, SirSweep,
@@ -121,11 +120,11 @@ class ChainSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChainSeedSweep, PipelineInvariants)
 {
-    Chain_config config;
+    Sim_config config;
     config.payload_bits = 1024;
-    config.packets = 6;
+    config.exchanges = 6;
     config.seed = GetParam();
-    const Chain_result result = run_chain_anc(config);
+    const Sim_result result = run(net::chain(), "anc", config);
     EXPECT_LE(result.metrics.packets_delivered, result.metrics.packets_attempted);
     EXPECT_GE(result.metrics.delivery_rate(), 0.6);
     EXPECT_LT(result.metrics.mean_ber(), 0.08);

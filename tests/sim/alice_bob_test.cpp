@@ -1,4 +1,4 @@
-#include "sim/alice_bob.h"
+#include "sim/simulator.h"
 
 #include <gtest/gtest.h>
 
@@ -7,9 +7,9 @@
 namespace anc::sim {
 namespace {
 
-Alice_bob_config small_config(std::uint64_t seed)
+Sim_config small_config(std::uint64_t seed)
 {
-    Alice_bob_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 6;
     config.seed = seed;
@@ -18,7 +18,7 @@ Alice_bob_config small_config(std::uint64_t seed)
 
 TEST(AliceBobSim, TraditionalDeliversEverything)
 {
-    const Alice_bob_result result = run_alice_bob_traditional(small_config(1));
+    const Sim_result result = run(net::alice_bob(), "traditional", small_config(1));
     EXPECT_EQ(result.metrics.packets_attempted, 12u);
     EXPECT_EQ(result.metrics.packets_delivered, 12u);
     // At 25 dB the per-hop BER is essentially zero.
@@ -27,8 +27,8 @@ TEST(AliceBobSim, TraditionalDeliversEverything)
 
 TEST(AliceBobSim, TraditionalUsesFourSlotsPerPair)
 {
-    const Alice_bob_config config = small_config(2);
-    const Alice_bob_result result = run_alice_bob_traditional(config);
+    const Sim_config config = small_config(2);
+    const Sim_result result = run(net::alice_bob(), "traditional", config);
     const double frame_symbols = static_cast<double>(phy::frame_length(1024) + 1);
     EXPECT_NEAR(result.metrics.airtime_symbols,
                 4.0 * frame_symbols * static_cast<double>(config.exchanges),
@@ -37,15 +37,15 @@ TEST(AliceBobSim, TraditionalUsesFourSlotsPerPair)
 
 TEST(AliceBobSim, CopeDeliversEverything)
 {
-    const Alice_bob_result result = run_alice_bob_cope(small_config(3));
+    const Sim_result result = run(net::alice_bob(), "cope", small_config(3));
     EXPECT_EQ(result.metrics.packets_delivered, 12u);
     EXPECT_LT(result.metrics.mean_ber(), 0.001);
 }
 
 TEST(AliceBobSim, CopeUsesThreeSlotsPerPair)
 {
-    const Alice_bob_config config = small_config(4);
-    const Alice_bob_result result = run_alice_bob_cope(config);
+    const Sim_config config = small_config(4);
+    const Sim_result result = run(net::alice_bob(), "cope", config);
     const double data_frame = static_cast<double>(phy::frame_length(1024) + 1);
     const double coded_frame = static_cast<double>(phy::frame_length(1024 + 128) + 1);
     EXPECT_NEAR(result.metrics.airtime_symbols,
@@ -55,7 +55,7 @@ TEST(AliceBobSim, CopeUsesThreeSlotsPerPair)
 
 TEST(AliceBobSim, AncDeliversWithLowBer)
 {
-    const Alice_bob_result result = run_alice_bob_anc(small_config(5));
+    const Sim_result result = run(net::alice_bob(), "anc", small_config(5));
     EXPECT_EQ(result.metrics.packets_attempted, 12u);
     // Decoding through a collision is lossier than clean hops, but at
     // 25 dB nearly every packet should make it.
@@ -66,9 +66,9 @@ TEST(AliceBobSim, AncDeliversWithLowBer)
 
 TEST(AliceBobSim, AncBeatsTraditionalThroughput)
 {
-    const Alice_bob_config config = small_config(6);
-    const Alice_bob_result anc = run_alice_bob_anc(config);
-    const Alice_bob_result traditional = run_alice_bob_traditional(config);
+    const Sim_config config = small_config(6);
+    const Sim_result anc = run(net::alice_bob(), "anc", config);
+    const Sim_result traditional = run(net::alice_bob(), "traditional", config);
     const double g = gain(anc.metrics, traditional.metrics);
     EXPECT_GT(g, 1.3);
     EXPECT_LT(g, 2.0);
@@ -76,9 +76,9 @@ TEST(AliceBobSim, AncBeatsTraditionalThroughput)
 
 TEST(AliceBobSim, AncBeatsCopeThroughput)
 {
-    const Alice_bob_config config = small_config(7);
-    const Alice_bob_result anc = run_alice_bob_anc(config);
-    const Alice_bob_result cope = run_alice_bob_cope(config);
+    const Sim_config config = small_config(7);
+    const Sim_result anc = run(net::alice_bob(), "anc", config);
+    const Sim_result cope = run(net::alice_bob(), "cope", config);
     const double g = gain(anc.metrics, cope.metrics);
     EXPECT_GT(g, 1.05);
     EXPECT_LT(g, 1.6);
@@ -86,9 +86,9 @@ TEST(AliceBobSim, AncBeatsCopeThroughput)
 
 TEST(AliceBobSim, CopeBeatsTraditional)
 {
-    const Alice_bob_config config = small_config(8);
-    const Alice_bob_result cope = run_alice_bob_cope(config);
-    const Alice_bob_result traditional = run_alice_bob_traditional(config);
+    const Sim_config config = small_config(8);
+    const Sim_result cope = run(net::alice_bob(), "cope", config);
+    const Sim_result traditional = run(net::alice_bob(), "traditional", config);
     const double g = gain(cope.metrics, traditional.metrics);
     // Theoretical 4/3 minus the slightly longer coded frame.
     EXPECT_GT(g, 1.15);
@@ -100,17 +100,17 @@ TEST(AliceBobSim, AncOverlapNearPaperValue)
     // These short-frame test runs (1024-bit payloads) overlap ~67%; the
     // paper's 80% operating point holds for the default 2048-bit frames
     // (see the Fig. 9 bench and the trigger tests).
-    Alice_bob_config config = small_config(9);
+    Sim_config config = small_config(9);
     config.exchanges = 20;
-    const Alice_bob_result result = run_alice_bob_anc(config);
+    const Sim_result result = run(net::alice_bob(), "anc", config);
     EXPECT_GT(result.metrics.mean_overlap(), 0.55);
     EXPECT_LT(result.metrics.mean_overlap(), 0.85);
 }
 
 TEST(AliceBobSim, DeterministicForSeed)
 {
-    const Alice_bob_result a = run_alice_bob_anc(small_config(10));
-    const Alice_bob_result b = run_alice_bob_anc(small_config(10));
+    const Sim_result a = run(net::alice_bob(), "anc", small_config(10));
+    const Sim_result b = run(net::alice_bob(), "anc", small_config(10));
     EXPECT_EQ(a.metrics.packets_delivered, b.metrics.packets_delivered);
     EXPECT_DOUBLE_EQ(a.metrics.airtime_symbols, b.metrics.airtime_symbols);
     EXPECT_DOUBLE_EQ(a.metrics.mean_ber(), b.metrics.mean_ber());
@@ -118,11 +118,11 @@ TEST(AliceBobSim, DeterministicForSeed)
 
 TEST(AliceBobSim, BothSidesDecode)
 {
-    Alice_bob_config config = small_config(11);
+    Sim_config config = small_config(11);
     config.exchanges = 10;
-    const Alice_bob_result result = run_alice_bob_anc(config);
-    EXPECT_GE(result.ber_at_alice.count(), 8u);
-    EXPECT_GE(result.ber_at_bob.count(), 8u);
+    const Sim_result result = run(net::alice_bob(), "anc", config);
+    EXPECT_GE(result.series.at("ber_at_alice").count(), 8u);
+    EXPECT_GE(result.series.at("ber_at_bob").count(), 8u);
 }
 
 } // namespace

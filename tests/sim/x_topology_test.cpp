@@ -1,33 +1,47 @@
-#include "sim/x_topology.h"
+#include "sim/simulator.h"
 
 #include <gtest/gtest.h>
 
 namespace anc::sim {
 namespace {
 
-X_config small_config(std::uint64_t seed)
+Sim_config small_config(std::uint64_t seed)
 {
-    X_config config;
+    Sim_config config;
     config.payload_bits = 1024;
     config.exchanges = 6;
     config.seed = seed;
     return config;
 }
 
+/// The X topology with its two overhear links (N1 -> N2, N3 -> N4)
+/// passed through `edit`.
+template <class Edit>
+net::Topology with_overhear_links(Edit edit)
+{
+    using namespace net::node;
+    net::Topology topology = net::x_topology();
+    for (net::Link_spec& link : topology.links) {
+        if ((link.from == n1 && link.to == n2) || (link.from == n3 && link.to == n4))
+            edit(link);
+    }
+    return topology;
+}
+
 TEST(XSim, TraditionalDeliversEverything)
 {
-    const X_result result = run_x_traditional(small_config(1));
+    const Sim_result result = run(net::x_topology(), "traditional", small_config(1));
     EXPECT_EQ(result.metrics.packets_attempted, 12u);
     EXPECT_EQ(result.metrics.packets_delivered, 12u);
 }
 
 TEST(XSim, CopeDeliversNearlyEverything)
 {
-    const X_result result = run_x_cope(small_config(2));
+    const Sim_result result = run(net::x_topology(), "cope", small_config(2));
     // Overhearing happens on clean transmissions under COPE; losses should
     // be rare.
     EXPECT_GE(result.metrics.packets_delivered, 11u);
-    EXPECT_LE(result.overhear_failures, 1u);
+    EXPECT_LE(result.scalars.at("overhear_failures"), 1u);
 }
 
 TEST(XSim, CopeDeliversAtBottomOfBand)
@@ -40,9 +54,9 @@ TEST(XSim, CopeDeliversAtBottomOfBand)
     // path now listens with a threshold lowered by the overhear link's
     // budget deficit.
     for (const std::uint64_t seed : {1ull, 2ull, 42ull}) {
-        X_config config = small_config(seed);
+        Sim_config config = small_config(seed);
         config.snr_db = 20.0;
-        const X_result result = run_x_cope(config);
+        const Sim_result result = run(net::x_topology(), "cope", config);
         EXPECT_GT(result.metrics.packets_delivered, 0u) << "seed " << seed;
         EXPECT_GE(result.metrics.packets_delivered,
                   result.metrics.packets_attempted / 2)
@@ -56,13 +70,14 @@ TEST(XSim, SnoopThresholdDoesNotDisturbHighSnr)
     // the lowered per-link snoop default must deliver at least as much
     // there.  Clearing the override restores the pre-fix behavior (the
     // snooper falls back to the standard carrier-sense threshold).
-    X_config historical = small_config(2);
-    historical.gains.overhear_detection_threshold_db.reset(); // pre-fix
-    const X_result old_threshold = run_x_cope(historical);
-    const X_result new_threshold = run_x_cope(small_config(2));
+    const net::Topology historical = with_overhear_links(
+        [](net::Link_spec& link) { link.detection_threshold_db.reset(); }); // pre-fix
+    const Sim_result old_threshold = run(historical, "cope", small_config(2));
+    const Sim_result new_threshold = run(net::x_topology(), "cope", small_config(2));
     EXPECT_GE(new_threshold.metrics.packets_delivered,
               old_threshold.metrics.packets_delivered);
-    EXPECT_LE(new_threshold.overhear_failures, old_threshold.overhear_failures);
+    EXPECT_LE(new_threshold.scalars.at("overhear_failures"),
+              old_threshold.scalars.at("overhear_failures"));
 }
 
 TEST(XSim, AgcRuleKeepsBottomOfBandOverhearing)
@@ -71,14 +86,14 @@ TEST(XSim, AgcRuleKeepsBottomOfBandOverhearing)
     // overhear links' threshold from the AGC rule (base carrier-sense
     // threshold minus the link's budget deficit) instead of the rounded
     // historical 9 dB, and COPE must still deliver at 20 dB SNR.
+    const net::Topology agc = with_overhear_links([](net::Link_spec& link) {
+        link.detection_threshold_db = chan::agc_detection_threshold_db(
+            phy::Packet_detector::Config{}.energy_threshold_db, link.gain);
+    });
     for (const std::uint64_t seed : {1ull, 2ull, 42ull}) {
-        X_config config = small_config(seed);
+        Sim_config config = small_config(seed);
         config.snr_db = 20.0;
-        config.gains.overhear_detection_threshold_db =
-            chan::agc_detection_threshold_db(
-                phy::Packet_detector::Config{}.energy_threshold_db,
-                config.gains.overhear);
-        const X_result result = run_x_cope(config);
+        const Sim_result result = run(agc, "cope", config);
         EXPECT_GT(result.metrics.packets_delivered, 0u) << "seed " << seed;
         EXPECT_GE(result.metrics.packets_delivered,
                   result.metrics.packets_attempted / 2)
@@ -88,9 +103,9 @@ TEST(XSim, AgcRuleKeepsBottomOfBandOverhearing)
 
 TEST(XSim, AncDeliversMost)
 {
-    X_config config = small_config(3);
+    Sim_config config = small_config(3);
     config.exchanges = 10;
-    const X_result result = run_x_anc(config);
+    const Sim_result result = run(net::x_topology(), "anc", config);
     EXPECT_EQ(result.metrics.packets_attempted, 20u);
     // Overhearing under interference occasionally fails (§11.5).
     EXPECT_GE(result.metrics.packets_delivered, 14u);
@@ -98,9 +113,9 @@ TEST(XSim, AncDeliversMost)
 
 TEST(XSim, AncBeatsTraditional)
 {
-    const X_config config = small_config(4);
-    const X_result anc = run_x_anc(config);
-    const X_result traditional = run_x_traditional(config);
+    const Sim_config config = small_config(4);
+    const Sim_result anc = run(net::x_topology(), "anc", config);
+    const Sim_result traditional = run(net::x_topology(), "traditional", config);
     const double g = gain(anc.metrics, traditional.metrics);
     EXPECT_GT(g, 1.2);
     EXPECT_LT(g, 2.0);
@@ -108,40 +123,42 @@ TEST(XSim, AncBeatsTraditional)
 
 TEST(XSim, AncBeatsCope)
 {
-    X_config config = small_config(5);
+    Sim_config config = small_config(5);
     config.exchanges = 10;
-    const X_result anc = run_x_anc(config);
-    const X_result cope = run_x_cope(config);
+    const Sim_result anc = run(net::x_topology(), "anc", config);
+    const Sim_result cope = run(net::x_topology(), "cope", config);
     EXPECT_GT(gain(anc.metrics, cope.metrics), 1.0);
 }
 
 TEST(XSim, OverhearingFailuresTracked)
 {
-    X_config config = small_config(6);
+    Sim_config config = small_config(6);
     config.exchanges = 15;
-    const X_result result = run_x_anc(config);
-    EXPECT_EQ(result.overhear_attempts, 30u);
+    const Sim_result result = run(net::x_topology(), "anc", config);
+    EXPECT_EQ(result.scalars.at("overhear_attempts"), 30u);
     // Failure rate should be modest but can be non-zero.
-    EXPECT_LT(result.overhear_failure_rate(), 0.4);
+    const double failure_rate =
+        result.scalars.at("overhear_failures") / result.scalars.at("overhear_attempts");
+    EXPECT_LT(failure_rate, 0.4);
 }
 
 TEST(XSim, WeakerOverhearLinkHurtsDelivery)
 {
-    X_config good = small_config(7);
+    Sim_config good = small_config(7);
     good.exchanges = 12;
-    X_config bad = good;
-    bad.gains.overhear = 0.30; // barely above the packet detector floor
-    const X_result strong = run_x_anc(good);
-    const X_result weak = run_x_anc(bad);
+    const net::Topology bad = with_overhear_links(
+        [](net::Link_spec& link) { link.gain = 0.30; }); // barely above the detector floor
+    const Sim_result strong = run(net::x_topology(), "anc", good);
+    const Sim_result weak = run(bad, "anc", good);
     EXPECT_GE(strong.metrics.packets_delivered, weak.metrics.packets_delivered);
 }
 
 TEST(XSim, DeterministicForSeed)
 {
-    const X_result a = run_x_anc(small_config(8));
-    const X_result b = run_x_anc(small_config(8));
+    const Sim_result a = run(net::x_topology(), "anc", small_config(8));
+    const Sim_result b = run(net::x_topology(), "anc", small_config(8));
     EXPECT_EQ(a.metrics.packets_delivered, b.metrics.packets_delivered);
-    EXPECT_EQ(a.overhear_failures, b.overhear_failures);
+    EXPECT_EQ(a.scalars.at("overhear_failures"), b.scalars.at("overhear_failures"));
 }
 
 } // namespace

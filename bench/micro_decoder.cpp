@@ -84,10 +84,12 @@ void bm_full_anc_receive(benchmark::State& state)
     phy::Frame_header hb{2, 1, 2, 2048};
     const Bits pa = random_bits(2048, rng);
     const Bits pb = random_bits(2048, rng);
-    const Bits fa = modem.frame_bits(ha, pa);
-    const Bits fb = modem.frame_bits(hb, pb);
+    Bits fa;
+    Bits fb;
+    modem.frame_bits(ha, pa, fa);
+    modem.frame_bits(hb, pb, fb);
     Sent_packet_buffer buffer;
-    buffer.store({ha, fa, pa});
+    buffer.store({ha, fa});
 
     dsp::Signal mix;
     dsp::accumulate(mix, chan::Link_channel{{0.95, 0.3, 0, 0.002}}.apply(modem.modulate(fa, 0.1)), 0);

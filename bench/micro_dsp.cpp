@@ -58,10 +58,12 @@ BENCHMARK(bm_msk_demodulate)->Arg(1024)->Arg(4096);
 
 void bm_scrambler(benchmark::State& state)
 {
-    const Bits bits = make_bits(2048);
+    Bits bits = make_bits(2048);
     const dsp::Scrambler scrambler;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(scrambler.apply(bits));
+    for (auto _ : state) {
+        scrambler.apply(bits);
+        benchmark::DoNotOptimize(bits.data());
+    }
     state.SetItemsProcessed(state.iterations() * 2048);
 }
 BENCHMARK(bm_scrambler);
@@ -98,7 +100,8 @@ void bm_pilot_search(benchmark::State& state)
     Pcg32 rng{3};
     Bits haystack = random_bits(2048, rng);
     const Bits& pilot = phy::pilot_sequence();
-    std::copy(pilot.begin(), pilot.end(), haystack.begin() + 1500);
+    for (std::size_t i = 0; i < pilot.size(); ++i)
+        haystack.set(1500 + i, pilot[i]);
     for (auto _ : state)
         benchmark::DoNotOptimize(phy::find_pilot(haystack, 6));
 }
@@ -112,8 +115,11 @@ void bm_frame_build(benchmark::State& state)
     header.dst = 2;
     header.seq = 7;
     header.payload_bits = 2048;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(phy::build_frame(header, payload));
+    Bits frame;
+    for (auto _ : state) {
+        phy::build_frame(header, payload, frame);
+        benchmark::DoNotOptimize(frame.data());
+    }
 }
 BENCHMARK(bm_frame_build);
 

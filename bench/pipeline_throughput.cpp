@@ -42,10 +42,18 @@
 // the same exact-shared lane kernels.
 //
 // The pilot_search / pilot_search_packed pair times phy::find_pattern's
-// historical byte-per-bit scan against the packed bit-domain scan
+// historical bit-by-bit scan (find_pattern_scalar) against the word scan
 // (PERF.md "Bit-domain pilot search") in bits per second over the same
-// haystack — both zero-alloc on warm workspace scratch, enforced like
-// every other stage.
+// haystacks — both zero-alloc, enforced like every other stage.
+//
+// The bit-driven stages (modulate, modulate_fast, demodulate, the two
+// pilot searches, tx_frame) cycle through a ring of distinct random
+// frames, one per iteration: repeating one frame lets the branch
+// predictor learn it, which overstated the data-dependent modulator ~3x
+// against its in-simulator cost (PERF.md "Distinct inputs per
+// iteration").  tx_frame is the whole transmit path of one packet —
+// mint the payload, whiten, CRC, frame, fast-modulate — on reused
+// buffers.
 //
 // --pr N stamps a `"pr": N` field into the JSON document — the
 // convention behind the committed BENCH_dsp.json trajectory snapshots
@@ -93,6 +101,7 @@
 #include "dsp/workspace.h"
 #include "net/topology.h"
 #include "phy/detector.h"
+#include "phy/modem.h"
 #include "phy/pilot.h"
 #include "sim/simulator.h"
 #include "util/bits.h"
@@ -244,15 +253,63 @@ std::string stage_name(const char* base, dsp::Math_profile profile)
 
 constexpr std::size_t bench_frame_bits = 2304; // ~payload 2048 + overhead
 constexpr double bench_snr_db = 25.0;
+constexpr std::size_t ring_frames = 64; // distinct inputs a bit-driven stage cycles
+
+/// `ring_frames` distinct random frame-sized bit sequences.
+std::vector<Bits> frame_ring(std::uint64_t seed)
+{
+    std::vector<Bits> ring;
+    for (std::size_t k = 0; k < ring_frames; ++k)
+        ring.push_back(frame_sized_bits(bench_frame_bits, seed + k));
+    return ring;
+}
+
+/// Cycles a stage body through the entries of a ring, one per call.
+template <class T>
+struct Ring_cursor {
+    const std::vector<T>& ring;
+    std::size_t next = 0;
+    const T& operator()()
+    {
+        const T& item = ring[next];
+        next = next + 1 == ring.size() ? 0 : next + 1;
+        return item;
+    }
+};
 
 Stage_result bench_modulate(double min_seconds, dsp::Math_profile profile)
 {
-    const Bits bits = frame_sized_bits(bench_frame_bits, 0xA0);
+    const std::vector<Bits> ring = frame_ring(0xA0);
+    Ring_cursor<Bits> frames{ring};
     const dsp::Msk_modulator modulator{1.0, 0.37, profile};
     auto signal = dsp::Workspace::current().signal();
-    return time_stage(stage_name("modulate", profile).c_str(), bits.size() + 1, 2,
+    return time_stage(stage_name("modulate", profile).c_str(), bench_frame_bits + 1, 2,
                       min_seconds, [&] {
-        modulator.modulate_into(bits, *signal);
+        modulator.modulate_into(frames(), *signal);
+    });
+}
+
+Stage_result bench_tx_frame(double min_seconds)
+{
+    // One transmitted packet per iteration, as Net_node::transmit_into
+    // runs it: a fresh 2048-bit payload minted from the flow's stream,
+    // whitened, CRC'd and framed, then modulated under the fast profile
+    // — every buffer leased and reused.
+    constexpr std::size_t payload_bits = 2048;
+    phy::Modem_config config;
+    config.math_profile = dsp::Math_profile::fast;
+    const phy::Modem modem{config};
+    Pcg32 rng{0x7f, 19};
+    dsp::Workspace& workspace = dsp::Workspace::current();
+    auto payload = workspace.bits();
+    auto frame = workspace.bits();
+    auto signal = workspace.signal();
+    phy::Frame_header header{1, 2, 0, payload_bits};
+    return time_stage("tx_frame", phy::frame_length(payload_bits) + 1, 2, min_seconds, [&] {
+        ++header.seq;
+        random_bits_into(payload_bits, rng, *payload);
+        modem.frame_bits(header, *payload, *frame);
+        modem.modulate_into(*frame, rng.next_double() * 6.283185307179586, *signal);
     });
 }
 
@@ -424,40 +481,44 @@ Stage_result bench_interference_analyze(double min_seconds)
 Stage_result bench_demodulate(double min_seconds)
 {
     const dsp::Msk_modulator modulator{1.0, 1.1};
-    const dsp::Signal signal = modulator.modulate(frame_sized_bits(bench_frame_bits, 0xD0));
+    std::vector<dsp::Signal> ring;
+    for (const Bits& bits : frame_ring(0xD0))
+        ring.push_back(modulator.modulate(bits));
+    Ring_cursor<dsp::Signal> signals{ring};
     const dsp::Msk_demodulator demodulator;
     auto bits = dsp::Workspace::current().bits();
-    return time_stage("demodulate", signal.size(), 2, min_seconds, [&] {
-        demodulator.demodulate_into(signal, *bits);
+    return time_stage("demodulate", bench_frame_bits + 1, 2, min_seconds, [&] {
+        demodulator.demodulate_into(signals(), *bits);
     });
 }
 
 Stage_result bench_pilot_search(double min_seconds, bool packed)
 {
-    // A frame-sized random haystack with the pilot planted at the very
+    // Frame-sized random haystacks with the pilot planted at the very
     // last fitting position: random bits cannot hit zero errors by
     // chance (p ≈ 2^-64 per start), so both variants scan every start
     // before the early break fires — identical full-span work.
-    Bits bits = frame_sized_bits(bench_frame_bits, 0xF5);
+    std::vector<Bits> ring = frame_ring(0xF5);
     const Bits& pilot = phy::pilot_sequence();
-    const std::size_t plant = bits.size() - phy::pilot_length;
-    for (std::size_t i = 0; i < phy::pilot_length; ++i)
-        bits[plant + i] = pilot[i];
+    const std::size_t plant = bench_frame_bits - phy::pilot_length;
+    for (Bits& bits : ring)
+        for (std::size_t i = 0; i < phy::pilot_length; ++i)
+            bits.set(plant + i, pilot[i]);
+    Ring_cursor<Bits> haystacks{ring};
 
     if (!packed) {
-        // The historical byte-per-bit loop, preserved as the reference
+        // The historical bit-by-bit loop, preserved as the reference
         // (phy::find_pattern_scalar).
-        return time_stage("pilot_search", bits.size(), 2, min_seconds, [&] {
+        return time_stage("pilot_search", bench_frame_bits, 2, min_seconds, [&] {
             const auto match =
-                phy::find_pattern_scalar(bits, pilot, 0, bits.size(), 6);
+                phy::find_pattern_scalar(haystacks(), pilot, 0, bench_frame_bits, 6);
             if (!match || match->position != plant)
                 std::fprintf(stderr, "warning: pilot search missed the plant\n");
         });
     }
-    // The production bit-domain path, including the per-frame packing
-    // (workspace-leased words, so the steady state allocates nothing).
-    return time_stage("pilot_search_packed", bits.size(), 2, min_seconds, [&] {
-        const auto match = phy::find_pattern(bits, pilot, 0, bits.size(), 6);
+    // The production word scan over the packed haystack as it stands.
+    return time_stage("pilot_search_packed", bench_frame_bits, 2, min_seconds, [&] {
+        const auto match = phy::find_pattern(haystacks(), pilot, 0, bench_frame_bits, 6);
         if (!match || match->position != plant)
             std::fprintf(stderr, "warning: pilot search missed the plant\n");
     });
@@ -690,6 +751,7 @@ int main(int argc, char** argv)
     const Stage_def defs[] = {
         {"modulate", [](double s, bool) { return bench_modulate(s, exact); }},
         {"modulate_fast", [](double s, bool) { return bench_modulate(s, fast); }},
+        {"tx_frame", [](double s, bool) { return bench_tx_frame(s); }},
         {"mix", [](double s, bool) { return bench_mix(s, exact); }},
         {"mix_fast", [](double s, bool) { return bench_mix(s, fast); }},
         {"fading_mix", [](double s, bool) { return bench_fading_mix(s); }},

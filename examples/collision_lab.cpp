@@ -89,8 +89,8 @@ int main()
     std::printf("decoded %zu unknown bits with %zu errors (BER %.4f)\n", n_bits, errors,
                 static_cast<double>(errors) / static_cast<double>(n_bits));
     std::printf("first 32 decoded: %s\n",
-                to_string(std::span<const std::uint8_t>{result.bits}.first(32)).c_str());
+                to_string(result.bits).substr(0, 32).c_str());
     std::printf("first 32 truth:   %s\n",
-                to_string(std::span<const std::uint8_t>{unknown_bits}.first(32)).c_str());
+                to_string(unknown_bits).substr(0, 32).c_str());
     return 0;
 }

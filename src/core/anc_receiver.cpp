@@ -54,11 +54,7 @@ void count_outcome(const Receive_outcome& outcome)
 /// Decode the 64 header bits that follow a pilot found at `pilot_pos`.
 std::optional<phy::Frame_header> header_after_pilot(const Bits& bits, std::size_t pilot_pos)
 {
-    const std::size_t header_pos = pilot_pos + phy::pilot_length;
-    if (header_pos + phy::header_length > bits.size())
-        return std::nullopt;
-    return phy::decode_header(
-        std::span<const std::uint8_t>{bits}.subspan(header_pos, phy::header_length));
+    return phy::decode_header(bits, pilot_pos + phy::pilot_length);
 }
 
 /// Recover the unknown frame from its tail copies (mirrored pilot and
@@ -68,7 +64,6 @@ std::optional<phy::Frame_header> header_after_pilot(const Bits& bits, std::size_
 /// Rejects frames whose header equals `known_header` (the degenerate
 /// self-mirror of the cancelled signal).
 std::optional<phy::Parsed_frame> recover_from_tail(const Bits& bits,
-                                                   const phy::Packed_bits& packed_bits,
                                                    const phy::Frame_header& known_header,
                                                    std::size_t& pilot_errors_out)
 {
@@ -76,21 +71,19 @@ std::optional<phy::Parsed_frame> recover_from_tail(const Bits& bits,
         return std::nullopt;
     // The mirrored pilot is the last field of the frame; the stream may
     // run a few windowed samples past the true end, so scan the last
-    // stretch for the best match.  The caller's packed haystack covers
-    // these bits, so the tail scan packs nothing.
+    // stretch for the best match.
     const std::size_t last_start = bits.size() - phy::pilot_length;
     const std::size_t from = last_start > 192 ? last_start - 192 : 0;
-    const auto tail_pilot = phy::find_pattern(packed_bits, phy::pilot_mirrored_packed(),
-                                              from, last_start, 8);
+    const auto tail_pilot = phy::find_pattern(bits, phy::pilot_mirrored_packed(), from,
+                                              last_start, 8);
     if (!tail_pilot)
         return std::nullopt;
     if (tail_pilot->position < phy::header_length)
         return std::nullopt;
 
     // The mirrored header sits just before the mirrored pilot.
-    const auto tail_header_bits = mirrored(std::span<const std::uint8_t>{bits}.subspan(
-        tail_pilot->position - phy::header_length, phy::header_length));
-    const auto header = phy::decode_header(tail_header_bits);
+    const auto header = phy::decode_header(
+        reverse_bits(bits.extract(tail_pilot->position - phy::header_length)));
     if (!header || *header == known_header)
         return std::nullopt;
 
@@ -103,9 +96,7 @@ std::optional<phy::Parsed_frame> recover_from_tail(const Bits& bits,
     const phy::Frame_offsets offsets = phy::frame_offsets(header->payload_bits);
     phy::Parsed_frame parsed;
     parsed.header = *header;
-    const auto payload = std::span<const std::uint8_t>{bits}.subspan(
-        frame_start + offsets.payload, header->payload_bits);
-    parsed.payload.assign(payload.begin(), payload.end());
+    parsed.payload_pos = frame_start + offsets.payload;
     parsed.crc_ok = false; // not verified on this path
     pilot_errors_out = tail_pilot->errors;
     return parsed;
@@ -225,15 +216,12 @@ std::optional<phy::Received_frame> Anc_receiver::decode_interfered(
 
     // In the time-reversed domain the known frame's bits read backwards
     // (the reversal transform preserves phase-difference signs, so the
-    // expected step sequence is simply the mirrored bit sequence's).
-    auto mirror = workspace.bits();
-    if (backward)
-        mirror->assign(known.frame_bits.rbegin(), known.frame_bits.rend());
-    const std::span<const std::uint8_t> known_bits =
-        backward ? std::span<const std::uint8_t>{*mirror}
-                 : std::span<const std::uint8_t>{known.frame_bits};
+    // expected step sequence is simply the forward one reversed).
+    const std::size_t known_bits = known.frame_bits.size();
     auto known_diffs = workspace.reals();
-    dsp::phase_differences_for_bits_into(known_bits, *known_diffs);
+    dsp::phase_differences_for_bits_into(known.frame_bits, *known_diffs);
+    if (backward)
+        std::reverse(known_diffs->begin(), known_diffs->end());
 
     // Locate the collision region in *this* domain (or reuse the caller's
     // analysis of the identical span).
@@ -262,7 +250,7 @@ std::optional<phy::Received_frame> Anc_receiver::decode_interfered(
 
         // Overlap window, clipped to the known signal's extent (beyond it
         // the mix is no longer two signals).
-        const std::size_t known_end_sample = pilot_pos + known_bits.size() + 1;
+        const std::size_t known_end_sample = pilot_pos + known_bits + 1;
         const std::size_t window_begin = report.overlap_begin;
         const std::size_t window_end = std::min({report.overlap_end, known_end_sample,
                                                  domain_slice.size()});
@@ -323,15 +311,12 @@ std::optional<phy::Received_frame> Anc_receiver::decode_interfered(
         report.overlap_begin > pilot_pos ? report.overlap_begin - pilot_pos : 0;
     const std::size_t search_to =
         unknown_start + 6 * config_.interference_detector.window;
-    // Pack the decoded stream once: the pilot loop below and the
-    // mirrored-tail fallback all scan these same bits.
-    const phy::Packed_bits packed_decoded{*decoded_bits};
     std::optional<phy::Parsed_frame> parsed;
     std::size_t pilot_errors = 0;
     std::size_t search_from = 0;
     while (!parsed) {
         const auto unknown_pilot =
-            phy::find_pattern(packed_decoded, phy::pilot_packed(), search_from, search_to,
+            phy::find_pattern(*decoded_bits, phy::pilot_packed(), search_from, search_to,
                               config_.unknown_pilot_max_errors);
         if (!unknown_pilot)
             break;
@@ -356,8 +341,7 @@ std::optional<phy::Received_frame> Anc_receiver::decode_interfered(
         // is exactly why the frame carries a *mirrored* header and pilot
         // at its other end (§7.4): the unknown packet ends in its
         // interference-free region, so its tail copy decodes cleanly.
-        parsed = recover_from_tail(*decoded_bits, packed_decoded, known.header,
-                                   pilot_errors);
+        parsed = recover_from_tail(*decoded_bits, known.header, pilot_errors);
         if (!parsed) {
             diag.failure = Decode_failure::no_unknown_pilot;
             return std::nullopt;
@@ -369,8 +353,10 @@ std::optional<phy::Received_frame> Anc_receiver::decode_interfered(
     frame.pilot_errors = pilot_errors;
     // In the reversed domain the frame's payload came out reversed; undo
     // that before de-whitening (the scrambler runs forward).
-    const Bits payload_on_air = backward ? mirrored(parsed->payload) : parsed->payload;
-    frame.payload = modem_.descramble(payload_on_air);
+    frame.payload.assign(*decoded_bits, parsed->payload_pos, parsed->header.payload_bits);
+    if (backward)
+        frame.payload = mirrored(frame.payload);
+    modem_.descramble(frame.payload);
     diag.unknown_pilot_errors = pilot_errors;
     return frame;
 }

@@ -174,9 +174,10 @@ void Interference_decoder::decode_into(dsp::Signal_view samples,
     estimate_phi_differences_into(samples, known_diffs, a, b, phi_differences,
                                   match_errors);
     bits.clear();
-    bits.reserve(phi_differences.size());
-    for (const double diff : phi_differences)
-        bits.push_back(diff >= 0.0 ? 1 : 0); // MSK rule (§6.4)
+    bits.resize(phi_differences.size());
+    std::uint64_t* words = bits.data();
+    for (std::size_t n = 0; n < phi_differences.size(); ++n) // MSK rule (§6.4)
+        words[n >> 6] |= static_cast<std::uint64_t>(phi_differences[n] >= 0.0) << (n & 63);
 }
 
 Symbol_decode_result Interference_decoder::decode_symbols(

@@ -21,7 +21,6 @@ namespace anc {
 struct Stored_frame {
     phy::Frame_header header;
     Bits frame_bits; // full on-air frame bits (payload whitened)
-    Bits payload;    // application-domain payload, for convenience
 };
 
 class Sent_packet_buffer {

@@ -1,6 +1,7 @@
 #include "core/trigger.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace anc {
 
@@ -13,16 +14,13 @@ const Bits& trigger_sequence()
     return trigger;
 }
 
-bool ends_with_trigger(std::span<const std::uint8_t> bits, std::size_t max_errors)
+bool ends_with_trigger(const Bits& bits, std::size_t max_errors)
 {
     const Bits& trigger = trigger_sequence();
     if (bits.size() < trigger.size())
         return false;
-    const auto tail = bits.subspan(bits.size() - trigger.size());
-    std::size_t errors = 0;
-    for (std::size_t i = 0; i < trigger.size(); ++i)
-        errors += (tail[i] != trigger[i]);
-    return errors <= max_errors;
+    const std::uint64_t tail = bits.extract(bits.size() - trigger.size(), trigger_length);
+    return static_cast<std::size_t>(std::popcount(tail ^ trigger.data()[0])) <= max_errors;
 }
 
 std::size_t draw_start_delay(Trigger_config config, Pcg32& rng)

@@ -23,7 +23,7 @@ const Bits& trigger_sequence();
 
 /// True if `bits` ends with the trigger sequence (allowing `max_errors`
 /// bit errors).
-bool ends_with_trigger(std::span<const std::uint8_t> bits, std::size_t max_errors = 2);
+bool ends_with_trigger(const Bits& bits, std::size_t max_errors = 2);
 
 struct Trigger_config {
     /// Number of backoff slots (§7.2 uses 1..32; we default to 8 — see

@@ -40,7 +40,7 @@ std::size_t dqpsk_nearest_symbol(double phase_difference)
     return best;
 }
 
-std::vector<double> dqpsk_phase_steps_for_bits(std::span<const std::uint8_t> bits)
+std::vector<double> dqpsk_phase_steps_for_bits(const Bits& bits)
 {
     if (bits.size() % 2 != 0)
         throw std::invalid_argument{"dqpsk: bit count must be even"};
@@ -57,7 +57,7 @@ Dqpsk_modulator::Dqpsk_modulator(double amplitude, double initial_phase,
 {
 }
 
-Signal Dqpsk_modulator::modulate(std::span<const std::uint8_t> bits) const
+Signal Dqpsk_modulator::modulate(const Bits& bits) const
 {
     const std::vector<double> steps = dqpsk_phase_steps_for_bits(bits);
     std::vector<double> phases;

@@ -42,7 +42,7 @@ std::size_t dqpsk_nearest_symbol(double phase_difference);
 /// Expected per-transition phase differences for a bit sequence (the
 /// "known delta theta" sequence when the known packet is DQPSK).  The
 /// bit count must be even.
-std::vector<double> dqpsk_phase_steps_for_bits(std::span<const std::uint8_t> bits);
+std::vector<double> dqpsk_phase_steps_for_bits(const Bits& bits);
 
 class Dqpsk_modulator {
 public:
@@ -53,7 +53,7 @@ public:
     /// Phases are accumulated first and converted through the batched
     /// ops::polar_into fill (exact: std::polar per element, byte-identical
     /// to the historical loop; fast: fast_sincos).
-    Signal modulate(std::span<const std::uint8_t> bits) const;
+    Signal modulate(const Bits& bits) const;
 
     double amplitude() const { return amplitude_; }
     Math_profile math_profile() const { return profile_; }

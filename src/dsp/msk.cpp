@@ -13,15 +13,14 @@ double msk_phase_step(std::uint8_t bit)
     return bit ? half_pi : -half_pi;
 }
 
-std::vector<double> phase_differences_for_bits(std::span<const std::uint8_t> bits)
+std::vector<double> phase_differences_for_bits(const Bits& bits)
 {
     std::vector<double> steps;
     phase_differences_for_bits_into(bits, steps);
     return steps;
 }
 
-void phase_differences_for_bits_into(std::span<const std::uint8_t> bits,
-                                     std::vector<double>& out)
+void phase_differences_for_bits_into(const Bits& bits, std::vector<double>& out)
 {
     // Presized indexed writes let the ±π/2 select compile to a vector
     // blend; push_back's size bump kept the historical loop scalar.
@@ -37,55 +36,47 @@ Msk_modulator::Msk_modulator(double amplitude, double initial_phase,
 {
 }
 
-Signal Msk_modulator::modulate(std::span<const std::uint8_t> bits) const
+Signal Msk_modulator::modulate(const Bits& bits) const
 {
     Signal signal;
     modulate_into(bits, signal);
     return signal;
 }
 
-void Msk_modulator::modulate_into(std::span<const std::uint8_t> bits, Signal& out) const
+void Msk_modulator::modulate_into(const Bits& bits, Signal& out) const
 {
     out.clear();
-    out.reserve(bits.size() + 1);
     if (profile_ != Math_profile::exact) {
-        // The fast path: a ±π/2 phase step is
-        // multiplication by ±i, which is a *lossless* component
-        // swap/negate — the envelope stays exactly amplitude_ and no
-        // per-sample sincos or phase accumulator is needed (nothing for
-        // lanes to speed up).  Only the initial sample differs from the
-        // exact path (fast_sincos vs libm, low-order bits).
-        //
-        // Every sample is the initial one rotated by a multiple of π/2,
-        // so only four values ever occur; tracking the quadrant as a
-        // 1-cycle integer recurrence and storing from a 4-entry table
-        // breaks the FP swap/negate dependency chain the historical loop
-        // carried.  The table entries are component swaps and exact sign
-        // flips of the initial sample — bit-identical to iterating
-        // multiplication by ±i (a 1-bit ^= 1 per step on a zero
-        // component included).
+        // A ±π/2 phase step is multiplication by ±i, a lossless component
+        // swap/negate: the envelope stays exactly amplitude_ and every
+        // sample is the initial one rotated by a multiple of π/2.  The
+        // lane kernel reads the quadrant after each bit off the words'
+        // prefix parity — bit-identical to iterating multiplication by ±i
+        // (a sign flip on a zero component included).  Only the initial
+        // sample differs from the exact path (fast_sincos vs libm,
+        // low-order bits).
         double s = 0.0;
         double c = 0.0;
         fast_sincos(initial_phase_, s, c);
         const double re = amplitude_ * c;
         const double im = amplitude_ * s;
-        const double quad_re[4] = {re, -im, -re, im};
-        const double quad_im[4] = {im, re, -im, -re};
         out.resize(bits.size() + 1);
-        Sample* o = out.data();
-        o[0] = Sample{re, im};
-        unsigned quadrant = 0;
-        for (std::size_t n = 0; n < bits.size(); ++n) {
-            quadrant = (quadrant + (bits[n] ? 1u : 3u)) & 3u;
-            o[n + 1] = Sample{quad_re[quadrant], quad_im[quadrant]};
-        }
+        out[0] = Sample{re, im};
+        simd::msk_modulate(bits.data(), bits.size(), re, im,
+                           reinterpret_cast<double*>(out.data() + 1));
         return;
     }
+    // The step is a table pick, not a branch: scrambled bits are random,
+    // and a data-dependent jump mispredicts on half of them.
+    constexpr double half_pi = std::numbers::pi / 2.0;
+    constexpr double steps[2] = {-half_pi, half_pi};
+    out.reserve(bits.size() + 1);
     double phase = initial_phase_;
     out.push_back(std::polar(amplitude_, phase));
     bool unbounded = true; // the caller's initial phase may exceed 2*pi
-    for (const std::uint8_t bit : bits) {
-        const double stepped = phase + msk_phase_step(bit);
+    const std::uint64_t* words = bits.data();
+    for (std::size_t n = 0; n < bits.size(); ++n) {
+        const double stepped = phase + steps[(words[n >> 6] >> (n & 63)) & 1u];
         // After the first wrap the accumulator lives in (-pi, pi], so a
         // step keeps it within the branch-only fold's exact domain.
         phase = unbounded ? wrap_phase(stepped) : wrap_phase_bounded(stepped);

@@ -6,6 +6,8 @@
 // attenuation h and the channel phase gamma (Eq. 1), which is exactly the
 // robustness the paper's interference decoder builds on.
 //
+// Bits come packed (util/bits.h): the modulator reads the words and the
+// demodulator's decisions land in words, with no per-bit byte anywhere.
 // The `*_into` variants write into a caller-owned buffer (typically a
 // dsp::Workspace lease) and are the allocation-free hot path; the
 // value-returning forms wrap them.
@@ -13,7 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <vector>
 
 #include "dsp/math_profile.h"
 #include "dsp/sample.h"
@@ -28,11 +30,10 @@ double msk_phase_step(std::uint8_t bit);
 /// "known phase difference" sequence (delta theta_s) that an ANC receiver
 /// derives from a packet it already knows (§6.3): the receiver never needs
 /// the absolute phases, only these differences.
-std::vector<double> phase_differences_for_bits(std::span<const std::uint8_t> bits);
+std::vector<double> phase_differences_for_bits(const Bits& bits);
 
 /// As above, into a caller-owned buffer (cleared first).
-void phase_differences_for_bits_into(std::span<const std::uint8_t> bits,
-                                     std::vector<double>& out);
+void phase_differences_for_bits_into(const Bits& bits, std::vector<double>& out);
 
 /// MSK modulator.
 ///
@@ -42,18 +43,20 @@ class Msk_modulator {
 public:
     /// `amplitude` is the constant envelope A_s; `initial_phase` seeds the
     /// phase accumulator (a real transmitter starts at an arbitrary phase,
-    /// so experiments randomize it).  Under Math_profile::fast, samples
-    /// are produced by rotating the previous sample by exactly ±i (a
-    /// lossless component swap/negate) instead of re-evaluating
-    /// std::polar on the accumulated phase — no per-sample sincos at all;
-    /// only the initial sample's sincos is approximate.
+    /// so experiments randomize it).  Under Math_profile::fast, every
+    /// sample is the initial one rotated by a multiple of π/2 (a lossless
+    /// component swap/negate), its quadrant read off the bits' running
+    /// parity by the simd::msk_modulate lane kernel — no per-sample
+    /// sincos and no data-dependent branch; only the initial sample's
+    /// sincos is approximate.  Math_profile::exact re-evaluates
+    /// std::polar on the accumulated phase.
     explicit Msk_modulator(double amplitude = 1.0, double initial_phase = 0.0,
                            Math_profile profile = Math_profile::exact);
 
-    Signal modulate(std::span<const std::uint8_t> bits) const;
+    Signal modulate(const Bits& bits) const;
 
     /// Modulate into a caller-owned buffer (cleared first).
-    void modulate_into(std::span<const std::uint8_t> bits, Signal& out) const;
+    void modulate_into(const Bits& bits, Signal& out) const;
 
     double amplitude() const { return amplitude_; }
     Math_profile math_profile() const { return profile_; }
@@ -67,7 +70,7 @@ private:
 /// MSK differential demodulator.
 class Msk_demodulator {
 public:
-    /// Hard decisions: bit n is 1 iff arg(y[n+1] * conj(y[n])) >= 0.
+    /// Hard decisions, packed: bit n is 1 iff arg(y[n+1] * conj(y[n])) >= 0.
     /// Produces len(signal) - 1 bits (empty for signals shorter than 2).
     Bits demodulate(Signal_view signal) const;
 

@@ -11,36 +11,27 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "util/bits.h"
 
 namespace anc::dsp {
 
-/// Self-inverse whitening transform: scramble(scramble(x)) == x.
+/// Self-inverse whitening transform: applying it twice is the identity.
 ///
-/// The keystream restarts from the seed on every apply(), so it is a
-/// fixed sequence per instance; the serial LFSR recurrence therefore
-/// runs once per prefix length and is memoised, leaving apply() a flat
-/// (auto-vectorized) XOR.  The cache makes concurrent apply() calls on
-/// one instance racy — modems own their scrambler per node and sweep
-/// tasks own their nodes per worker, so no instance is ever shared
-/// across threads.
+/// The keystream restarts from the seed on every apply(), so each packet
+/// is whitened independently.  It is generated a packed word at a time
+/// (the LFSR recurrence raised to its 64th power, see scrambler.cpp), so
+/// apply() is one XOR per 64 bits and the instance holds no mutable
+/// state: concurrent apply() calls on one scrambler are safe.
 class Scrambler {
 public:
     explicit Scrambler(std::uint16_t seed = 0xACE1u);
 
-    /// XOR the bits with the keystream (restarted from the seed on every
-    /// call, so each packet is whitened independently).
-    Bits apply(std::span<const std::uint8_t> bits) const;
+    /// XOR `bits` in place with the keystream.
+    void apply(Bits& bits) const;
 
 private:
-    void extend_keystream(std::size_t length) const;
-
-    std::uint16_t seed_;
-    mutable std::uint16_t lfsr_ = 0; // state after keystream_.size() steps
-    mutable std::vector<std::uint8_t> keystream_;
+    std::uint64_t first_word_; // keystream bits 0..63
 };
 
 } // namespace anc::dsp

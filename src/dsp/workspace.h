@@ -4,7 +4,8 @@
 // relay amplify -> demodulate) thousands of times; building a fresh
 // std::vector for every intermediate stream made the steady state
 // allocation-bound.  A Workspace is a small pool of typed buffers
-// (Signal, Bits, std::vector<double>) that hot callers *lease*: a lease
+// (Signal, packed Bits, std::vector<double>, word vectors) that hot
+// callers *lease*: a lease
 // hands out a cleared buffer whose capacity survives from previous uses,
 // and returns it to the pool when it goes out of scope.  After a warm-up
 // pass, leasing is allocation-free (PERF.md documents the invariant;
@@ -36,22 +37,22 @@
 namespace anc::dsp {
 
 class Workspace {
-    template <class T>
+    template <class Buffer>
     struct Pool {
-        std::vector<std::unique_ptr<std::vector<T>>> storage;
-        std::vector<std::vector<T>*> free;
+        std::vector<std::unique_ptr<Buffer>> storage;
+        std::vector<Buffer*> free;
         std::size_t created = 0;
         std::size_t served = 0;
 
-        std::vector<T>* acquire()
+        Buffer* acquire()
         {
             ++served;
             if (free.empty()) {
-                storage.push_back(std::make_unique<std::vector<T>>());
+                storage.push_back(std::make_unique<Buffer>());
                 free.push_back(storage.back().get());
                 ++created;
             }
-            std::vector<T>* buffer = free.back();
+            Buffer* buffer = free.back();
             free.pop_back();
             buffer->clear();
             return buffer;
@@ -61,10 +62,10 @@ class Workspace {
 public:
     /// RAII handle over a pooled buffer.  Movable, not copyable; returns
     /// the buffer to its pool on destruction.
-    template <class T>
+    template <class Buffer>
     class Lease {
     public:
-        Lease(Pool<T>* pool, std::vector<T>* buffer)
+        Lease(Pool<Buffer>* pool, Buffer* buffer)
             : pool_{pool}, buffer_{buffer}
         {
         }
@@ -89,8 +90,8 @@ public:
         Lease& operator=(const Lease&) = delete;
         ~Lease() { release(); }
 
-        std::vector<T>& operator*() const { return *buffer_; }
-        std::vector<T>* operator->() const { return buffer_; }
+        Buffer& operator*() const { return *buffer_; }
+        Buffer* operator->() const { return buffer_; }
 
     private:
         void release()
@@ -101,8 +102,8 @@ public:
             buffer_ = nullptr;
         }
 
-        Pool<T>* pool_;
-        std::vector<T>* buffer_;
+        Pool<Buffer>* pool_;
+        Buffer* buffer_;
     };
 
     Workspace() = default;
@@ -110,17 +111,16 @@ public:
     Workspace& operator=(const Workspace&) = delete;
 
     /// Lease a cleared sample buffer (capacity retained across leases).
-    Lease<Sample> signal() { return {&signals_, signals_.acquire()}; }
+    Lease<Signal> signal() { return {&signals_, signals_.acquire()}; }
 
-    /// Lease a cleared bit buffer.
-    Lease<std::uint8_t> bits() { return {&bits_, bits_.acquire()}; }
+    /// Lease a cleared packed bit buffer (frames, decisions, payloads).
+    Lease<Bits> bits() { return {&bits_, bits_.acquire()}; }
 
     /// Lease a cleared real-valued buffer.
-    Lease<double> reals() { return {&reals_, reals_.acquire()}; }
+    Lease<std::vector<double>> reals() { return {&reals_, reals_.acquire()}; }
 
-    /// Lease a cleared 64-bit word buffer (the bit-domain pilot search's
-    /// packed-haystack scratch, phy/pilot.h).
-    Lease<std::uint64_t> words() { return {&words_, words_.acquire()}; }
+    /// Lease a cleared 64-bit word buffer (the detector scans' masks).
+    Lease<std::vector<std::uint64_t>> words() { return {&words_, words_.acquire()}; }
 
     /// Buffers created since construction — stops growing once the pool
     /// is warm (the zero-allocation invariant tests watch this).
@@ -155,16 +155,16 @@ public:
     };
 
 private:
-    Pool<Sample> signals_;
-    Pool<std::uint8_t> bits_;
-    Pool<double> reals_;
-    Pool<std::uint64_t> words_;
+    Pool<Signal> signals_;
+    Pool<Bits> bits_;
+    Pool<std::vector<double>> reals_;
+    Pool<std::vector<std::uint64_t>> words_;
 };
 
 /// Shorthand for the common lease types.
-using Signal_lease = Workspace::Lease<Sample>;
-using Bits_lease = Workspace::Lease<std::uint8_t>;
-using Reals_lease = Workspace::Lease<double>;
-using Words_lease = Workspace::Lease<std::uint64_t>;
+using Signal_lease = Workspace::Lease<Signal>;
+using Bits_lease = Workspace::Lease<Bits>;
+using Reals_lease = Workspace::Lease<std::vector<double>>;
+using Words_lease = Workspace::Lease<std::vector<std::uint64_t>>;
 
 } // namespace anc::dsp

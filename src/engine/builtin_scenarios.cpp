@@ -47,9 +47,9 @@ Scenario_result run_builtin(const Builtin& row, const Scenario_config& config,
     sim_config.seed = seed;
     if (!row.fading)
         return sim::run(row.topology(), config.scheme, sim_config);
-    sim_config.fading = {chan::Gain_model::rayleigh_block, config.coherence_block};
-    return sim::run(net::with_gain_scaled(row.topology(), config.mean_link_gain),
-                    config.scheme, sim_config);
+    sim_config.fading = {chan::Gain_model::rayleigh_block, config.coherence_block,
+                         config.mean_link_gain};
+    return sim::run(row.topology(), config.scheme, sim_config);
 }
 
 } // namespace

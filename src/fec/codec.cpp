@@ -12,7 +12,7 @@ Fec_codec::Fec_codec(std::size_t interleave_rows)
 {
 }
 
-Bits Fec_codec::encode(std::span<const std::uint8_t> data) const
+Bits Fec_codec::encode(const Bits& data) const
 {
     Bits coded = hamming74_encode(data);
     if (interleave_rows_ > 1) {
@@ -22,10 +22,10 @@ Bits Fec_codec::encode(std::span<const std::uint8_t> data) const
     return coded;
 }
 
-Bits Fec_codec::decode(std::span<const std::uint8_t> coded, std::size_t data_bits) const
+Bits Fec_codec::decode(const Bits& coded, std::size_t data_bits) const
 {
     const obs::Stage_timer timer{obs::Stage::fec_decode};
-    Bits received{coded.begin(), coded.end()};
+    Bits received = coded;
     if (interleave_rows_ > 1) {
         const Block_interleaver interleaver{interleave_rows_, 7};
         received = interleaver.deinterleave(received);

@@ -18,11 +18,11 @@ public:
     /// interleaving.
     explicit Fec_codec(std::size_t interleave_rows = 8);
 
-    Bits encode(std::span<const std::uint8_t> data) const;
+    Bits encode(const Bits& data) const;
 
     /// Decode; `data_bits` is the original (pre-padding) data length so the
     /// pad added by encode() can be stripped.
-    Bits decode(std::span<const std::uint8_t> coded, std::size_t data_bits) const;
+    Bits decode(const Bits& coded, std::size_t data_bits) const;
 
     /// Coded length for a given data length.
     std::size_t coded_size(std::size_t data_bits) const;

@@ -60,26 +60,21 @@ std::uint8_t hamming74_decode_codeword(std::uint8_t codeword, bool& corrected)
         (bits[3] << 3u) | (bits[5] << 2u) | (bits[6] << 1u) | bits[7]);
 }
 
-Bits hamming74_encode(std::span<const std::uint8_t> bits)
+Bits hamming74_encode(const Bits& bits)
 {
-    Bits padded{bits.begin(), bits.end()};
-    while (padded.size() % 4 != 0)
-        padded.push_back(0);
+    Bits padded = bits;
+    padded.resize((bits.size() + 3) / 4 * 4);
 
     Bits out;
     out.reserve(padded.size() / 4 * 7);
     for (std::size_t block = 0; block < padded.size(); block += 4) {
-        std::uint8_t nibble = 0;
-        for (std::size_t i = 0; i < 4; ++i)
-            nibble = static_cast<std::uint8_t>((nibble << 1u) | padded[block + i]);
-        const std::uint8_t codeword = hamming74_encode_nibble(nibble);
-        for (int i = 6; i >= 0; --i)
-            out.push_back(static_cast<std::uint8_t>((codeword >> i) & 1u));
+        const auto nibble = static_cast<std::uint8_t>(read_uint(padded, block, 4));
+        append_uint(out, hamming74_encode_nibble(nibble), 7);
     }
     return out;
 }
 
-Bits hamming74_decode(std::span<const std::uint8_t> bits)
+Bits hamming74_decode(const Bits& bits)
 {
     if (bits.size() % 7 != 0)
         throw std::invalid_argument{"hamming74_decode: length must be a multiple of 7"};
@@ -89,14 +84,11 @@ Bits hamming74_decode(std::span<const std::uint8_t> bits)
     // telemetry stays O(1) per decode rather than O(codewords).
     std::uint64_t corrections = 0;
     for (std::size_t block = 0; block < bits.size(); block += 7) {
-        std::uint8_t codeword = 0;
-        for (std::size_t i = 0; i < 7; ++i)
-            codeword = static_cast<std::uint8_t>((codeword << 1u) | bits[block + i]);
+        const auto codeword = static_cast<std::uint8_t>(read_uint(bits, block, 7));
         bool corrected = false;
         const std::uint8_t nibble = hamming74_decode_codeword(codeword, corrected);
         corrections += corrected;
-        for (int i = 3; i >= 0; --i)
-            out.push_back(static_cast<std::uint8_t>((nibble >> i) & 1u));
+        append_uint(out, nibble, 4);
     }
     obs::count(obs::Counter::fec_codewords, bits.size() / 7);
     obs::count(obs::Counter::fec_corrected_bits, corrections);

@@ -28,11 +28,11 @@ std::uint8_t hamming74_decode_codeword(std::uint8_t codeword, bool& corrected);
 
 /// Encode a bit sequence; the input is zero-padded to a multiple of 4.
 /// Output length is ceil(len/4) * 7 bits.
-Bits hamming74_encode(std::span<const std::uint8_t> bits);
+Bits hamming74_encode(const Bits& bits);
 
 /// Decode a sequence of 7-bit codewords back to data bits (4 per block).
 /// The input length must be a multiple of 7.
-Bits hamming74_decode(std::span<const std::uint8_t> bits);
+Bits hamming74_decode(const Bits& bits);
 
 /// Code rate of Hamming(7,4).
 inline constexpr double hamming74_rate = 4.0 / 7.0;

@@ -11,7 +11,7 @@ Block_interleaver::Block_interleaver(std::size_t rows, std::size_t cols)
         throw std::invalid_argument{"Block_interleaver: dimensions must be positive"};
 }
 
-Bits Block_interleaver::interleave(std::span<const std::uint8_t> bits) const
+Bits Block_interleaver::interleave(const Bits& bits) const
 {
     Bits out;
     out.reserve(bits.size());
@@ -30,7 +30,7 @@ Bits Block_interleaver::interleave(std::span<const std::uint8_t> bits) const
     return out;
 }
 
-Bits Block_interleaver::deinterleave(std::span<const std::uint8_t> bits) const
+Bits Block_interleaver::deinterleave(const Bits& bits) const
 {
     Bits out;
     out.reserve(bits.size());
@@ -41,9 +41,9 @@ Bits Block_interleaver::deinterleave(std::span<const std::uint8_t> bits) const
         std::size_t index = 0;
         for (std::size_t c = 0; c < cols_; ++c) {
             for (std::size_t r = 0; r < rows_; ++r)
-                chunk[r * cols_ + c] = bits[start + index++];
+                chunk.set(r * cols_ + c, bits[start + index++]);
         }
-        out.insert(out.end(), chunk.begin(), chunk.end());
+        out.append(chunk);
         start += block;
     }
     for (std::size_t i = start; i < bits.size(); ++i)

@@ -21,8 +21,8 @@ public:
     /// bits (a short final chunk passes through untouched).
     Block_interleaver(std::size_t rows, std::size_t cols);
 
-    Bits interleave(std::span<const std::uint8_t> bits) const;
-    Bits deinterleave(std::span<const std::uint8_t> bits) const;
+    Bits interleave(const Bits& bits) const;
+    Bits deinterleave(const Bits& bits) const;
 
     std::size_t block_size() const { return rows_ * cols_; }
 

@@ -4,31 +4,36 @@
 
 namespace anc::net {
 
+namespace {
+
+/// Word k of a packed sequence, zero past its end (the zero padding of
+/// the shorter payload).
+std::uint64_t word_or_zero(const Bits& bits, std::size_t k)
+{
+    return k < bits.word_count() ? bits.data()[k] : 0;
+}
+
+} // namespace
+
 Bits cope_encode(const Packet& a, const Packet& b)
 {
-    const Bits header_a = phy::encode_header(header_for(a));
-    const Bits header_b = phy::encode_header(header_for(b));
     const std::size_t body = std::max(a.payload.size(), b.payload.size());
-
     Bits out;
     out.reserve(2 * phy::header_length + body);
-    out.insert(out.end(), header_a.begin(), header_a.end());
-    out.insert(out.end(), header_b.begin(), header_b.end());
-    for (std::size_t i = 0; i < body; ++i) {
-        const std::uint8_t bit_a = i < a.payload.size() ? a.payload[i] : 0;
-        const std::uint8_t bit_b = i < b.payload.size() ? b.payload[i] : 0;
-        out.push_back(bit_a ^ bit_b);
-    }
+    out.append(phy::encode_header(header_for(a)), 64);
+    out.append(phy::encode_header(header_for(b)), 64);
+    for (std::size_t i = 0; i < body; i += 64)
+        out.append(word_or_zero(a.payload, i / 64) ^ word_or_zero(b.payload, i / 64),
+                   static_cast<unsigned>(std::min<std::size_t>(64, body - i)));
     return out;
 }
 
-std::optional<Cope_coded> cope_parse(std::span<const std::uint8_t> payload)
+std::optional<Cope_coded> cope_parse(const Bits& payload)
 {
     if (payload.size() < 2 * phy::header_length)
         return std::nullopt;
-    const auto first = phy::decode_header(payload.first(phy::header_length));
-    const auto second =
-        phy::decode_header(payload.subspan(phy::header_length, phy::header_length));
+    const auto first = phy::decode_header(payload, 0);
+    const auto second = phy::decode_header(payload, phy::header_length);
     if (!first || !second)
         return std::nullopt;
 
@@ -39,8 +44,7 @@ std::optional<Cope_coded> cope_parse(std::span<const std::uint8_t> payload)
     Cope_coded coded;
     coded.first = *first;
     coded.second = *second;
-    const auto xored = payload.subspan(2 * phy::header_length);
-    coded.xored.assign(xored.begin(), xored.end());
+    coded.xored.assign(payload, 2 * phy::header_length, body);
     return coded;
 }
 
@@ -55,7 +59,7 @@ bool same_identity(const phy::Frame_header& x, const phy::Frame_header& y)
 
 std::optional<Packet> cope_decode(const Cope_coded& coded,
                                   const phy::Frame_header& known_header,
-                                  std::span<const std::uint8_t> known_payload)
+                                  const Bits& known_payload)
 {
     const phy::Frame_header* wanted = nullptr;
     if (same_identity(known_header, coded.first))
@@ -69,12 +73,11 @@ std::optional<Packet> cope_decode(const Cope_coded& coded,
     packet.src = wanted->src;
     packet.dst = wanted->dst;
     packet.seq = wanted->seq;
-    packet.payload.resize(wanted->payload_bits);
-    for (std::size_t i = 0; i < packet.payload.size(); ++i) {
-        const std::uint8_t known_bit = i < known_payload.size() ? known_payload[i] : 0;
-        const std::uint8_t mixed = i < coded.xored.size() ? coded.xored[i] : 0;
-        packet.payload[i] = known_bit ^ mixed;
-    }
+    const std::size_t length = wanted->payload_bits;
+    packet.payload.reserve(length);
+    for (std::size_t i = 0; i < length; i += 64)
+        packet.payload.append(word_or_zero(known_payload, i / 64) ^ word_or_zero(coded.xored, i / 64),
+                              static_cast<unsigned>(std::min<std::size_t>(64, length - i)));
     return packet;
 }
 

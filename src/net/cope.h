@@ -14,7 +14,6 @@
 #pragma once
 
 #include <optional>
-#include <span>
 
 #include "net/packet.h"
 #include "phy/header.h"
@@ -33,12 +32,12 @@ Bits cope_encode(const Packet& a, const Packet& b);
 
 /// Parse a coded payload; nothing if either embedded header fails its CRC
 /// or the lengths are inconsistent.
-std::optional<Cope_coded> cope_parse(std::span<const std::uint8_t> payload);
+std::optional<Cope_coded> cope_parse(const Bits& payload);
 
 /// Extract the counterpart packet given one of the two originals.
 /// Returns nothing if `known_header` matches neither embedded header.
 std::optional<Packet> cope_decode(const Cope_coded& coded,
                                   const phy::Frame_header& known_header,
-                                  std::span<const std::uint8_t> known_payload);
+                                  const Bits& known_payload);
 
 } // namespace anc::net

@@ -14,8 +14,7 @@ Stored_frame Net_node::stored_frame_for(const Packet& packet) const
 {
     Stored_frame stored;
     stored.header = header_for(packet);
-    stored.frame_bits = modem_.frame_bits(stored.header, packet.payload);
-    stored.payload = packet.payload;
+    modem_.frame_bits(stored.header, packet.payload, stored.frame_bits);
     return stored;
 }
 

@@ -9,7 +9,7 @@ namespace {
 chan::Link_params link_with(const Link_spec& spec, const Link_fading& fading, Pcg32& rng)
 {
     chan::Link_params params;
-    params.gain = spec.gain;
+    params.gain = spec.gain * fading.mean_link_gain;
     params.phase = rng.next_double() * 2.0 * std::numbers::pi;
     // Real radio pairs never share an oscillator: a few-ppm carrier
     // frequency offset makes the relative phase of any two signals drift.
@@ -97,13 +97,6 @@ const Topology& chain()
             add_pair(t, n, n + 1, 0.92);
         return t;
     }();
-    return topology;
-}
-
-Topology with_gain_scaled(Topology topology, double factor)
-{
-    for (Link_spec& link : topology.links)
-        link.gain *= factor;
     return topology;
 }
 

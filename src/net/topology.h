@@ -34,6 +34,8 @@ struct Link_fading {
     /// Samples per coherence block under rayleigh_block (0 = quasi-static:
     /// one fade for the whole transmission).
     std::size_t coherence_block = 4096;
+    /// Every link gain is multiplied by this (the mean_link_gain axis).
+    double mean_link_gain = 1.0;
 };
 
 /// One directed link.  Pairs without a link are out of radio range.
@@ -103,9 +105,6 @@ const Topology& x_topology();
 /// Fig. 2: N1 -> N2 -> N3 -> N4; adjacent nodes are linked both ways,
 /// nodes two or more hops apart are out of range (§2(b)).
 const Topology& chain();
-
-/// Multiply every link gain by `factor` (the mean_link_gain axis).
-Topology with_gain_scaled(Topology topology, double factor);
 
 /// Install every link of `topology` into `medium`.
 void install(chan::Medium& medium, const Topology& topology, const Link_fading& fading,

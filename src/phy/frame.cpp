@@ -6,35 +6,32 @@
 
 namespace anc::phy {
 
-Bits build_frame(const Frame_header& header, std::span<const std::uint8_t> payload)
-{
-    const Bits header_bits = encode_header(header);
-    Bits crc_bits;
-    append_uint(crc_bits, crc32(payload), static_cast<int>(crc_length));
+// Every field is a word splice: the pilot and header are whole words, an
+// MSB-first field's packed form is its value bit-reversed, and a mirrored
+// field is the packed form reversed again.
 
-    Bits frame;
+void build_frame(const Frame_header& header, const Bits& payload, Bits& frame)
+{
+    const std::uint64_t pilot = pilot_sequence().data()[0];
+    const std::uint64_t header_word = encode_header(header);
+    const std::uint32_t crc = crc32(payload);
+    frame.clear();
     frame.reserve(frame_length(payload.size()));
-    const Bits& pilot = pilot_sequence();
-    frame.insert(frame.end(), pilot.begin(), pilot.end());
-    frame.insert(frame.end(), header_bits.begin(), header_bits.end());
-    frame.insert(frame.end(), crc_bits.begin(), crc_bits.end());
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    const Bits tail_crc = mirrored(crc_bits);
-    frame.insert(frame.end(), tail_crc.begin(), tail_crc.end());
-    const Bits tail_header = mirrored(header_bits);
-    frame.insert(frame.end(), tail_header.begin(), tail_header.end());
-    const Bits& tail_pilot = pilot_mirrored();
-    frame.insert(frame.end(), tail_pilot.begin(), tail_pilot.end());
-    return frame;
+    frame.append(pilot, 64);
+    frame.append(header_word, 64);
+    frame.append(reverse_bits(crc, 32), 32);
+    frame.append(payload);
+    frame.append(crc, 32);
+    frame.append(reverse_bits(header_word), 64);
+    frame.append(reverse_bits(pilot), 64);
 }
 
-std::optional<Parsed_frame> parse_frame_at(std::span<const std::uint8_t> bits,
-                                           std::size_t pilot_pos)
+std::optional<Parsed_frame> parse_frame_at(const Bits& bits, std::size_t pilot_pos)
 {
     const std::size_t header_pos = pilot_pos + pilot_length;
     if (header_pos + header_length + crc_length > bits.size())
         return std::nullopt;
-    const auto header = decode_header(bits.subspan(header_pos, header_length));
+    const auto header = decode_header(bits, header_pos);
     if (!header)
         return std::nullopt;
 
@@ -45,11 +42,9 @@ std::optional<Parsed_frame> parse_frame_at(std::span<const std::uint8_t> bits,
 
     Parsed_frame parsed;
     parsed.header = *header;
-    const auto payload = bits.subspan(payload_pos, header->payload_bits);
-    parsed.payload.assign(payload.begin(), payload.end());
-    const auto crc_read = static_cast<std::uint32_t>(
-        read_uint(bits, crc_pos, static_cast<int>(crc_length)));
-    parsed.crc_ok = (crc32(payload) == crc_read);
+    parsed.payload_pos = payload_pos;
+    const auto crc_read = static_cast<std::uint32_t>(reverse_bits(bits.extract(crc_pos, 32), 32));
+    parsed.crc_ok = crc32(bits.data(), payload_pos, header->payload_bits) == crc_read;
     obs::count(parsed.crc_ok ? obs::Counter::crc_pass : obs::Counter::crc_fail);
     return parsed;
 }

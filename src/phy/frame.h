@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <optional>
-#include <span>
 
 #include "phy/header.h"
 #include "util/bits.h"
@@ -64,23 +63,23 @@ constexpr Frame_offsets frame_offsets(std::size_t payload_bits)
     return o;
 }
 
-/// Assemble the on-air bit sequence.  `payload` is taken as-is: whitening
-/// (scrambling) is the modem's job and must already have happened.
-Bits build_frame(const Frame_header& header, std::span<const std::uint8_t> payload);
+/// Assemble the on-air bits into `frame` (cleared first).  `payload` is
+/// taken as-is: whitening (scrambling) is the modem's job and must
+/// already have happened.
+void build_frame(const Frame_header& header, const Bits& payload, Bits& frame);
 
 struct Parsed_frame {
     Frame_header header;
-    Bits payload;        // still in the whitened (on-air) domain
-    bool crc_ok = false; // leading CRC field matches the payload
+    std::size_t payload_pos = 0; // payload offset in the parsed bits (whitened)
+    bool crc_ok = false;         // leading CRC field matches the payload
 };
 
 /// Parse a frame from `bits` starting at `pilot_pos` (the position where
 /// the pilot was found).  Verifies the header CRC and that the frame
-/// fits; the payload is extracted by length.  The payload CRC result is
+/// fits; the payload is located by length.  The payload CRC result is
 /// *reported*, not enforced — clean receives require it, interference
 /// decodes don't.  Tail fields are never required (they routinely overlap
 /// interference).
-std::optional<Parsed_frame> parse_frame_at(std::span<const std::uint8_t> bits,
-                                           std::size_t pilot_pos);
+std::optional<Parsed_frame> parse_frame_at(const Bits& bits, std::size_t pilot_pos);
 
 } // namespace anc::phy

@@ -5,13 +5,15 @@
 // CRC-16 guards against trusting a garbled header.  The header also
 // carries the payload length so the receiver knows the frame extent.
 //
-// Wire layout (64 bits):  src:8  dst:8  seq:16  payload_bits:16  crc16:16
+// Wire layout (64 bits, each field MSB-first):
+//   src:8  dst:8  seq:16  payload_bits:16  crc16:16
+// A header is exactly one packed word (util/bits.h layout): bit i of the
+// word is wire bit i.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "util/bits.h"
 
@@ -28,10 +30,14 @@ struct Frame_header {
     friend bool operator==(const Frame_header&, const Frame_header&) = default;
 };
 
-/// Serialize to 64 bits including the CRC.
-Bits encode_header(const Frame_header& header);
+/// Serialize to the 64 wire bits, CRC included, as one packed word.
+std::uint64_t encode_header(const Frame_header& header);
 
-/// Parse 64 bits; nothing if the span is short or the CRC fails.
-std::optional<Frame_header> decode_header(std::span<const std::uint8_t> bits);
+/// Parse a packed header word; nothing if the CRC fails.
+std::optional<Frame_header> decode_header(std::uint64_t word);
+
+/// Parse the header at bits [pos, pos + 64); nothing if the bits end
+/// first or the CRC fails.
+std::optional<Frame_header> decode_header(const Bits& bits, std::size_t pos);
 
 } // namespace anc::phy

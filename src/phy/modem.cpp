@@ -11,23 +11,23 @@ Modem::Modem(Modem_config config)
 {
 }
 
-Bits Modem::frame_bits(const Frame_header& header, std::span<const std::uint8_t> payload) const
+void Modem::frame_bits(const Frame_header& header, const Bits& payload, Bits& out) const
 {
-    const Bits whitened = scrambler_.apply(payload);
-    return build_frame(header, whitened);
+    auto whitened = dsp::Workspace::current().bits();
+    *whitened = payload;
+    scrambler_.apply(*whitened);
+    build_frame(header, *whitened, out);
 }
 
-dsp::Signal Modem::modulate(std::span<const std::uint8_t> frame_bits,
-                            double initial_phase) const
+dsp::Signal Modem::modulate(const Bits& frame_bits, double initial_phase) const
 {
-    const obs::Stage_timer timer{obs::Stage::modulate};
-    const dsp::Msk_modulator modulator{config_.amplitude, initial_phase,
-                                       config_.math_profile};
-    return modulator.modulate(frame_bits);
+    dsp::Signal signal;
+    modulate_into(frame_bits, initial_phase, signal);
+    return signal;
 }
 
-void Modem::modulate_into(std::span<const std::uint8_t> frame_bits,
-                          double initial_phase, dsp::Signal& out) const
+void Modem::modulate_into(const Bits& frame_bits, double initial_phase,
+                          dsp::Signal& out) const
 {
     const obs::Stage_timer timer{obs::Stage::modulate};
     const dsp::Msk_modulator modulator{config_.amplitude, initial_phase,
@@ -35,17 +35,19 @@ void Modem::modulate_into(std::span<const std::uint8_t> frame_bits,
     modulator.modulate_into(frame_bits, out);
 }
 
-dsp::Signal Modem::modulate_frame(const Frame_header& header,
-                                  std::span<const std::uint8_t> payload,
+dsp::Signal Modem::modulate_frame(const Frame_header& header, const Bits& payload,
                                   double initial_phase) const
 {
-    return modulate(frame_bits(header, payload), initial_phase);
+    auto bits = dsp::Workspace::current().bits();
+    frame_bits(header, payload, *bits);
+    return modulate(*bits, initial_phase);
 }
 
 Bits Modem::demodulate_bits(dsp::Signal_view signal) const
 {
-    const obs::Stage_timer timer{obs::Stage::demodulate};
-    return demodulator_.demodulate(signal);
+    Bits bits;
+    demodulate_bits_into(signal, bits);
+    return bits;
 }
 
 void Modem::demodulate_bits_into(dsp::Signal_view signal, Bits& out) const
@@ -54,22 +56,19 @@ void Modem::demodulate_bits_into(dsp::Signal_view signal, Bits& out) const
     demodulator_.demodulate_into(signal, out);
 }
 
-Bits Modem::descramble(std::span<const std::uint8_t> payload) const
+void Modem::descramble(Bits& payload) const
 {
-    return scrambler_.apply(payload);
+    scrambler_.apply(payload);
 }
 
 std::optional<Received_frame> Modem::receive(dsp::Signal_view signal) const
 {
     auto bits = dsp::Workspace::current().bits();
-    {
-        const obs::Stage_timer timer{obs::Stage::demodulate};
-        demodulator_.demodulate_into(signal, *bits);
-    }
+    demodulate_bits_into(signal, *bits);
     return receive_bits(*bits);
 }
 
-std::optional<Received_frame> Modem::receive_bits(std::span<const std::uint8_t> bits) const
+std::optional<Received_frame> Modem::receive_bits(const Bits& bits) const
 {
     const auto match = find_pilot(bits, config_.pilot_max_errors);
     if (!match)
@@ -80,7 +79,8 @@ std::optional<Received_frame> Modem::receive_bits(std::span<const std::uint8_t> 
 
     Received_frame frame;
     frame.header = parsed->header;
-    frame.payload = descramble(parsed->payload);
+    frame.payload.assign(bits, parsed->payload_pos, parsed->header.payload_bits);
+    descramble(frame.payload);
     frame.pilot_errors = match->errors;
     frame.pilot_position = match->position;
     return frame;

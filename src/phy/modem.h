@@ -4,6 +4,10 @@
 // scrambler + MSK modulator on the way out; MSK demodulator + pilot
 // search + deframer on the way in.  Interference handling lives above
 // this, in core/ (the ANC receiver), which reuses the same framing.
+// Every stage works on packed bits (util/bits.h): whitening is a word
+// XOR, the frame fields are word splices, and the demodulated stream is
+// scanned, parsed, CRC-checked and de-whitened in the words the MSK
+// decisions wrote.
 
 #pragma once
 
@@ -39,21 +43,19 @@ class Modem {
 public:
     explicit Modem(Modem_config config = {});
 
-    /// On-air frame bits: payload whitened, then framed (Fig. 6 layout).
-    Bits frame_bits(const Frame_header& header, std::span<const std::uint8_t> payload) const;
+    /// On-air frame bits into `out`: payload whitened, then framed
+    /// (Fig. 6 layout).
+    void frame_bits(const Frame_header& header, const Bits& payload, Bits& out) const;
 
     /// Frame bits -> samples.  `initial_phase` models the transmitter's
     /// arbitrary oscillator phase.
-    dsp::Signal modulate(std::span<const std::uint8_t> frame_bits,
-                         double initial_phase = 0.0) const;
+    dsp::Signal modulate(const Bits& frame_bits, double initial_phase = 0.0) const;
 
     /// As above, into a caller-owned buffer (cleared first).
-    void modulate_into(std::span<const std::uint8_t> frame_bits,
-                       double initial_phase, dsp::Signal& out) const;
+    void modulate_into(const Bits& frame_bits, double initial_phase, dsp::Signal& out) const;
 
     /// Convenience: header + payload -> samples.
-    dsp::Signal modulate_frame(const Frame_header& header,
-                               std::span<const std::uint8_t> payload,
+    dsp::Signal modulate_frame(const Frame_header& header, const Bits& payload,
                                double initial_phase = 0.0) const;
 
     /// Standard (no interference) receive over a sample stream: demodulate,
@@ -68,7 +70,7 @@ public:
     /// The same receive over an already-demodulated bit stream — the ANC
     /// receiver demodulates once and probes the stream several ways, so
     /// this avoids repeating the demodulation.
-    std::optional<Received_frame> receive_bits(std::span<const std::uint8_t> bits) const;
+    std::optional<Received_frame> receive_bits(const Bits& bits) const;
 
     /// Raw hard-decision demodulation (exposed for the ANC receiver).
     Bits demodulate_bits(dsp::Signal_view signal) const;
@@ -76,8 +78,8 @@ public:
     /// As above, into a caller-owned buffer (cleared first).
     void demodulate_bits_into(dsp::Signal_view signal, Bits& out) const;
 
-    /// De-whiten an on-air payload back to application bits.
-    Bits descramble(std::span<const std::uint8_t> payload) const;
+    /// De-whiten an on-air payload back to application bits, in place.
+    void descramble(Bits& payload) const;
 
     const Modem_config& config() const { return config_; }
 

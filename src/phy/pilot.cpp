@@ -2,29 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "util/obs.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
 namespace anc::phy {
-
-namespace {
-
-/// Gather the LSBs of 8 consecutive 0/1 bytes into bits 0..7.  The
-/// multiply places byte j's bit at position 8j + 7(8-j); all 64 partial
-/// products land on distinct bit positions (8j ≡ 7i has no solutions in
-/// range besides the diagonal), so the sum is carry-free and bits 56..63
-/// of the product read [b0..b7] exactly.
-inline std::uint64_t gather8_lsb(const std::uint8_t* p)
-{
-    std::uint64_t chunk;
-    std::memcpy(&chunk, p, sizeof chunk);
-    return ((chunk & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
-}
-
-} // namespace
 
 const Bits& pilot_sequence()
 {
@@ -44,24 +27,7 @@ const Bits& pilot_mirrored()
     return mirror;
 }
 
-Packed_bits::Packed_bits(std::span<const std::uint8_t> bits)
-    : lease_{dsp::Workspace::current().words()}, bit_count_{bits.size()}
-{
-    // Two zero pad words cover the widest read any in-range start can
-    // issue: position p reads words p/64 .. p/64 + stride - 1, and with
-    // p + L <= n that top index is at most (n + 126)/64 - 1 <
-    // ceil(n/64) + 2 for every pattern length L >= 1.
-    const std::size_t word_count = (bits.size() + 63) / 64;
-    lease_->assign(word_count + 2, 0);
-    std::uint64_t* words = lease_->data();
-    std::size_t i = 0;
-    for (; i + 8 <= bits.size(); i += 8)
-        words[i >> 6] |= gather8_lsb(bits.data() + i) << (i & 63);
-    for (; i < bits.size(); ++i)
-        words[i >> 6] |= static_cast<std::uint64_t>(bits[i] & 1u) << (i & 63);
-}
-
-Packed_pattern::Packed_pattern(std::span<const std::uint8_t> pattern)
+Packed_pattern::Packed_pattern(const Bits& pattern)
     : length_{pattern.size()}, stride_{(pattern.size() + 126) / 64}
 {
     if (length_ == 0)
@@ -73,8 +39,7 @@ Packed_pattern::Packed_pattern(std::span<const std::uint8_t> pattern)
         std::uint64_t* mask = masks_.data() + shift * stride_;
         for (std::size_t i = 0; i < length_; ++i) {
             const std::size_t bit = shift + i;
-            copy[bit >> 6] |= static_cast<std::uint64_t>(pattern[i] & 1u)
-                              << (bit & 63);
+            copy[bit >> 6] |= static_cast<std::uint64_t>(pattern[i]) << (bit & 63);
             mask[bit >> 6] |= std::uint64_t{1} << (bit & 63);
         }
     }
@@ -192,19 +157,19 @@ void scan_words_striped(const std::uint64_t* words,
 /// match.  2-word patterns run stripe-major over the interior words in
 /// chunks (so the zero-error break still skips the remainder of a long
 /// span), with the ragged edges of [from, to] covered position-major.
-std::optional<Pattern_match> scan_packed(const Packed_bits& haystack,
+std::optional<Pattern_match> scan_packed(const Bits& haystack,
                                          const Packed_pattern& pattern,
                                          std::size_t from,
                                          std::size_t to,
                                          std::size_t max_errors)
 {
-    const std::size_t last_start = haystack.bit_count() - pattern.length();
+    const std::size_t last_start = haystack.size() - pattern.length();
     from = std::min(from, last_start);
     to = std::min(to, last_start);
     if (from > to)
         return std::nullopt;
 
-    const std::uint64_t* words = haystack.words();
+    const std::uint64_t* words = haystack.data();
     std::uint64_t best_key = no_match;
 
     // Word w is interior when all 64 of its starts lie inside [from, to].
@@ -248,53 +213,41 @@ void tally_outcome(const std::optional<Pattern_match>& best)
 
 } // namespace
 
-std::optional<Pattern_match> find_pattern(std::span<const std::uint8_t> bits,
-                                          std::span<const std::uint8_t> pattern,
-                                          std::size_t from,
-                                          std::size_t to,
-                                          std::size_t max_errors)
-{
-    if (pattern.empty() || bits.size() < pattern.size()) {
-        obs::count(obs::Counter::pilot_degenerate);
-        return std::nullopt;
-    }
-    const obs::Stage_timer timer{obs::Stage::pilot_search};
-    obs::count(obs::Counter::pilot_searches);
-    const Packed_bits haystack{bits};
-    // The two protocol patterns are pre-packed once per process; packing
-    // an arbitrary pattern per call is a cold path (tests, tooling).
-    const std::optional<Pattern_match> best = [&] {
-        if (pattern.data() == pilot_sequence().data())
-            return scan_packed(haystack, pilot_packed(), from, to, max_errors);
-        if (pattern.data() == pilot_mirrored().data())
-            return scan_packed(haystack, pilot_mirrored_packed(), from, to,
-                               max_errors);
-        return scan_packed(haystack, Packed_pattern{pattern}, from, to, max_errors);
-    }();
-    tally_outcome(best);
-    return best;
-}
-
-std::optional<Pattern_match> find_pattern(const Packed_bits& haystack,
+std::optional<Pattern_match> find_pattern(const Bits& bits,
                                           const Packed_pattern& pattern,
                                           std::size_t from,
                                           std::size_t to,
                                           std::size_t max_errors)
 {
-    if (pattern.length() == 0 || haystack.bit_count() < pattern.length()) {
+    if (pattern.length() == 0 || bits.size() < pattern.length()) {
         obs::count(obs::Counter::pilot_degenerate);
         return std::nullopt;
     }
     const obs::Stage_timer timer{obs::Stage::pilot_search};
     obs::count(obs::Counter::pilot_searches);
     const std::optional<Pattern_match> best =
-        scan_packed(haystack, pattern, from, to, max_errors);
+        scan_packed(bits, pattern, from, to, max_errors);
     tally_outcome(best);
     return best;
 }
 
-std::optional<Pattern_match> find_pattern_scalar(std::span<const std::uint8_t> bits,
-                                                 std::span<const std::uint8_t> pattern,
+std::optional<Pattern_match> find_pattern(const Bits& bits,
+                                          const Bits& pattern,
+                                          std::size_t from,
+                                          std::size_t to,
+                                          std::size_t max_errors)
+{
+    // The two protocol patterns are pre-packed once per process; packing
+    // an arbitrary pattern per call is a cold path (tests, tooling).
+    if (&pattern == &pilot_sequence())
+        return find_pattern(bits, pilot_packed(), from, to, max_errors);
+    if (&pattern == &pilot_mirrored())
+        return find_pattern(bits, pilot_mirrored_packed(), from, to, max_errors);
+    return find_pattern(bits, Packed_pattern{pattern}, from, to, max_errors);
+}
+
+std::optional<Pattern_match> find_pattern_scalar(const Bits& bits,
+                                                 const Bits& pattern,
                                                  std::size_t from,
                                                  std::size_t to,
                                                  std::size_t max_errors)
@@ -321,12 +274,11 @@ std::optional<Pattern_match> find_pattern_scalar(std::span<const std::uint8_t> b
     return best;
 }
 
-std::optional<Pattern_match> find_pilot(std::span<const std::uint8_t> bits,
-                                        std::size_t max_errors)
+std::optional<Pattern_match> find_pilot(const Bits& bits, std::size_t max_errors)
 {
     if (bits.size() < pilot_length)
         return std::nullopt;
-    return find_pattern(bits, pilot_sequence(), 0, bits.size() - pilot_length, max_errors);
+    return find_pattern(bits, pilot_packed(), 0, bits.size() - pilot_length, max_errors);
 }
 
 } // namespace anc::phy

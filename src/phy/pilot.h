@@ -7,13 +7,12 @@
 // clean region is still subject to noise.
 //
 // The scan runs in the bit domain (PERF.md "Bit-domain pilot search"):
-// the haystack's byte-per-bit Bits are packed LSB-first into 64-bit
-// words once (workspace-leased scratch), the pattern is pre-packed into
-// its 64 possible word alignments, and each candidate position costs a
-// couple of XOR + popcount word operations instead of a byte compare
-// per pattern bit.  The packed scan is a pure speedup: position, error
-// count, clamping, and tie-breaks (earliest minimum, stop at zero) are
-// exactly those of the historical byte loop, which survives as
+// it reads the haystack's packed words (util/bits.h) as they are, the
+// pattern is pre-packed into its 64 possible word alignments, and each
+// candidate position costs a couple of XOR + popcount word operations
+// instead of a compare per pattern bit.  Position, error count,
+// clamping, and tie-breaks (earliest minimum, stop at zero) are exactly
+// those of the historical bit-by-bit loop, which survives as
 // find_pattern_scalar — the validation and bench reference.
 
 #pragma once
@@ -21,10 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
-#include "dsp/workspace.h"
 #include "util/bits.h"
 
 namespace anc::phy {
@@ -42,26 +39,6 @@ struct Pattern_match {
     std::size_t errors = 0;   // Hamming distance at that position
 };
 
-/// A haystack packed LSB-first into 64-bit words held in workspace-leased
-/// scratch: bit i of word i/64 is bits[i] & 1.  Build one per frame and
-/// reuse it across every pattern search over the same bits (the receiver
-/// packs its decoded stream once for the unknown-pilot loop and the
-/// mirrored-tail recovery).
-class Packed_bits {
-public:
-    explicit Packed_bits(std::span<const std::uint8_t> bits);
-
-    std::size_t bit_count() const { return bit_count_; }
-
-    /// The packed words, padded with enough zero words that a scan may
-    /// read a full pattern stride at any valid start position.
-    const std::uint64_t* words() const { return lease_->data(); }
-
-private:
-    dsp::Words_lease lease_;
-    std::size_t bit_count_;
-};
-
 /// A pattern pre-packed into all 64 word alignments: copy s holds the
 /// pattern's bits shifted up by s within a word stride, next to the mask
 /// selecting them.  At start position p the scan XORs the haystack words
@@ -69,7 +46,7 @@ private:
 /// shifted copies turn every alignment into whole-word operations.
 class Packed_pattern {
 public:
-    explicit Packed_pattern(std::span<const std::uint8_t> pattern);
+    explicit Packed_pattern(const Bits& pattern);
 
     std::size_t length() const { return length_; }
 
@@ -100,31 +77,30 @@ const Packed_pattern& pilot_mirrored_packed();
 /// start positions in [from, to]; `to` is clamped so the pattern fits.
 /// Returns nothing if the pattern cannot fit or no alignment has at most
 /// `max_errors` mismatches.  Ties resolve to the earliest position.
-std::optional<Pattern_match> find_pattern(std::span<const std::uint8_t> bits,
-                                          std::span<const std::uint8_t> pattern,
+std::optional<Pattern_match> find_pattern(const Bits& bits,
+                                          const Bits& pattern,
                                           std::size_t from,
                                           std::size_t to,
                                           std::size_t max_errors);
 
-/// The same search over a pre-packed haystack and pattern — what callers
-/// issuing several searches against the same bits use to pack only once.
-std::optional<Pattern_match> find_pattern(const Packed_bits& haystack,
+/// The same search against a pre-packed pattern (the pilot's are packed
+/// once per process).
+std::optional<Pattern_match> find_pattern(const Bits& bits,
                                           const Packed_pattern& pattern,
                                           std::size_t from,
                                           std::size_t to,
                                           std::size_t max_errors);
 
-/// The historical byte-per-bit scan, uninstrumented: the reference the
-/// property tests compare the packed scan against, and the bench's
+/// The historical bit-by-bit scan, uninstrumented: the reference the
+/// property tests compare the word scan against, and the bench's
 /// `pilot_search` stage (PERF.md).  Not used on any hot path.
-std::optional<Pattern_match> find_pattern_scalar(std::span<const std::uint8_t> bits,
-                                                 std::span<const std::uint8_t> pattern,
+std::optional<Pattern_match> find_pattern_scalar(const Bits& bits,
+                                                 const Bits& pattern,
                                                  std::size_t from,
                                                  std::size_t to,
                                                  std::size_t max_errors);
 
 /// Convenience: search the pilot across the whole sequence.
-std::optional<Pattern_match> find_pilot(std::span<const std::uint8_t> bits,
-                                        std::size_t max_errors = 6);
+std::optional<Pattern_match> find_pilot(const Bits& bits, std::size_t max_errors = 6);
 
 } // namespace anc::phy

@@ -6,78 +6,70 @@ namespace anc {
 
 namespace {
 
-// Standard byte-wise tables.  Processing 8 bits through the table is the
-// textbook identity for polynomial division — the result matches the
-// bit-by-bit loop exactly (tests/util/crc_test.cpp pins both against the
-// bitwise reference), it just retires one table lookup instead of eight
-// serially-dependent shift/xor steps.
-
-constexpr std::array<std::uint32_t, 256> crc32_table = [] {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t byte = 0; byte < 256; ++byte) {
-        std::uint32_t crc = byte;
-        for (int k = 0; k < 8; ++k)
-            crc = (crc >> 1u) ^ (0xedb88320u & (0u - (crc & 1u)));
-        table[byte] = crc;
-    }
-    return table;
-}();
-
-constexpr std::array<std::uint16_t, 256> crc16_table = [] {
-    std::array<std::uint16_t, 256> table{};
-    for (std::uint32_t byte = 0; byte < 256; ++byte) {
-        std::uint16_t crc = static_cast<std::uint16_t>(byte << 8u);
-        for (int k = 0; k < 8; ++k) {
-            const bool msb = (crc & 0x8000u) != 0;
-            crc = static_cast<std::uint16_t>(crc << 1u);
-            if (msb)
-                crc ^= 0x1021u;
+/// A reflected CRC: the register shifts right and each bit enters at the
+/// bottom, so a packed word's bytes, low byte first, are its bits in
+/// sequence order.  The MSB-first CRC-16 is the same computation on the
+/// bit-reversed register (its poly reversed, 0x1021 -> 0x8408), reversed
+/// back at the end.  Whole words run slice-by-8: table k folds a byte
+/// followed by k zero bytes, so the eight lookups of a word are
+/// independent.  Both the byte and slice steps are the textbook
+/// identities of polynomial division, so the result equals the bit loop
+/// exactly (tests/util/crc_test.cpp pins it against bit-serial
+/// references).
+template <class Reg, Reg poly>
+struct Reflected_crc {
+    static constexpr auto tables = [] {
+        std::array<std::array<Reg, 256>, 8> t{};
+        for (unsigned byte = 0; byte < 256; ++byte) {
+            Reg crc = static_cast<Reg>(byte);
+            for (int k = 0; k < 8; ++k)
+                crc = static_cast<Reg>((crc >> 1u) ^ (poly & (0u - (crc & 1u))));
+            t[0][byte] = crc;
         }
-        table[byte] = crc;
+        for (std::size_t k = 1; k < 8; ++k)
+            for (unsigned byte = 0; byte < 256; ++byte)
+                t[k][byte] = static_cast<Reg>((t[k - 1][byte] >> 8u) ^ t[0][t[k - 1][byte] & 0xffu]);
+        return t;
+    }();
+
+    static Reg run(Reg crc, const std::uint64_t* words, std::size_t pos, std::size_t count)
+    {
+        const auto at = [&](std::size_t i, unsigned width) {
+            const std::uint64_t* w = words + ((pos + i) >> 6);
+            const unsigned shift = (pos + i) & 63;
+            const std::uint64_t v = shift ? (w[0] >> shift) | (w[1] << (64 - shift)) : w[0];
+            return width == 64 ? v : v & ((std::uint64_t{1} << width) - 1);
+        };
+        std::size_t i = 0;
+        for (; i + 64 <= count; i += 64) {
+            const std::uint64_t v = at(i, 64) ^ crc;
+            Reg next = 0;
+            for (unsigned k = 0; k < 8; ++k)
+                next ^= tables[7 - k][(v >> (8 * k)) & 0xffu];
+            crc = next;
+        }
+        for (; i + 8 <= count; i += 8)
+            crc = static_cast<Reg>((crc >> 8u) ^ tables[0][(crc ^ at(i, 8)) & 0xffu]);
+        for (; i < count; ++i) {
+            crc = static_cast<Reg>(crc ^ at(i, 1));
+            crc = static_cast<Reg>((crc >> 1u) ^ (poly & (0u - (crc & 1u))));
+        }
+        return crc;
     }
-    return table;
-}();
+};
 
 } // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> bits)
+std::uint32_t crc32(const std::uint64_t* words, std::size_t pos, std::size_t count)
 {
-    // Reflected CRC-32 (poly 0xedb88320), table-driven: gather 8 bits
-    // LSB-first (the reflected convention) and fold them per lookup.
-    std::uint32_t crc = 0xffffffffu;
-    std::size_t i = 0;
-    for (; i + 8 <= bits.size(); i += 8) {
-        std::uint32_t byte = 0;
-        for (std::size_t k = 0; k < 8; ++k)
-            byte |= static_cast<std::uint32_t>(bits[i + k] & 1u) << k;
-        crc = (crc >> 8u) ^ crc32_table[(crc ^ byte) & 0xffu];
-    }
-    for (; i < bits.size(); ++i) {
-        crc ^= static_cast<std::uint32_t>(bits[i] & 1u);
-        crc = (crc >> 1u) ^ (0xedb88320u & (0u - (crc & 1u)));
-    }
-    return ~crc;
+    return ~Reflected_crc<std::uint32_t, 0xedb88320u>::run(0xffffffffu, words, pos, count);
 }
 
-std::uint16_t crc16(std::span<const std::uint8_t> bits)
+std::uint16_t crc16(const std::uint64_t* words, std::size_t pos, std::size_t count)
 {
-    // MSB-first CRC-16-CCITT: gather 8 bits MSB-first per lookup.
-    std::uint16_t crc = 0xffffu;
-    std::size_t i = 0;
-    for (; i + 8 <= bits.size(); i += 8) {
-        std::uint32_t byte = 0;
-        for (std::size_t k = 0; k < 8; ++k)
-            byte = (byte << 1u) | (bits[i + k] & 1u);
-        crc = static_cast<std::uint16_t>(
-            (crc << 8u) ^ crc16_table[((crc >> 8u) ^ byte) & 0xffu]);
-    }
-    for (; i < bits.size(); ++i) {
-        const bool msb = (crc & 0x8000u) != 0;
-        crc = static_cast<std::uint16_t>(crc << 1u);
-        if (msb != ((bits[i] & 1u) != 0))
-            crc ^= 0x1021u;
-    }
-    return crc;
+    const std::uint16_t reflected =
+        Reflected_crc<std::uint16_t, 0x8408u>::run(0xffffu, words, pos, count);
+    return static_cast<std::uint16_t>(reverse_bits(reflected, 16));
 }
 
 } // namespace anc

@@ -7,12 +7,6 @@
 
 namespace anc {
 
-namespace {
-
-constexpr std::uint64_t mult = 6364136223846793005ULL;
-
-} // namespace
-
 Counter_normal::Counter_normal(std::uint64_t seed, std::uint64_t stream)
     : key_a_{splitmix64(mix_seed(seed, stream) + 0x6a09e667f3bcc909ULL)},
       key_b_{splitmix64(mix_seed(seed, stream) ^ 0xbb67ae8584caa73bULL)}
@@ -55,28 +49,6 @@ Pcg32::Pcg32(std::uint64_t seed, std::uint64_t stream)
     next_u32();
     state_ += seed;
     next_u32();
-}
-
-std::uint32_t Pcg32::next_u32()
-{
-    const std::uint64_t old = state_;
-    state_ = old * mult + inc_;
-    const auto xorshifted = static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-    const auto rot = static_cast<std::uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-std::uint64_t Pcg32::next_u64()
-{
-    const std::uint64_t hi = next_u32();
-    const std::uint64_t lo = next_u32();
-    return (hi << 32u) | lo;
-}
-
-double Pcg32::next_double()
-{
-    // 53 random bits mapped to [0,1): the standard 64-bit-to-double recipe.
-    return static_cast<double>(next_u64() >> 11u) * 0x1.0p-53;
 }
 
 std::uint32_t Pcg32::next_in_range(std::uint32_t lo, std::uint32_t hi)

@@ -130,14 +130,29 @@ public:
     explicit Pcg32(std::uint64_t seed = 0x853c49e6748fea9bULL,
                    std::uint64_t stream = 0xda3e39cb94b95bdbULL);
 
-    /// Next raw 32-bit draw.
-    std::uint32_t next_u32();
+    /// Next raw 32-bit draw.  The draws are defined inline so that
+    /// minting loops (random_bits, the per-transmission phase) inline the
+    /// step instead of calling out once per bit.
+    std::uint32_t next_u32()
+    {
+        const std::uint64_t old = state_;
+        state_ = old * mult + inc_;
+        const auto xorshifted = static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+        const auto rot = static_cast<std::uint32_t>(old >> 59u);
+        return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+    }
 
     /// Next 64-bit draw (two 32-bit draws).
-    std::uint64_t next_u64();
+    std::uint64_t next_u64()
+    {
+        const std::uint64_t hi = next_u32();
+        const std::uint64_t lo = next_u32();
+        return (hi << 32u) | lo;
+    }
 
-    /// Uniform double in [0, 1).
-    double next_double();
+    /// Uniform double in [0, 1): 53 random bits, the standard
+    /// 64-bit-to-double recipe.
+    double next_double() { return static_cast<double>(next_u64() >> 11u) * 0x1.0p-53; }
 
     /// Uniform integer in [lo, hi] (inclusive); requires lo <= hi.
     /// Uses rejection sampling, so the result is exactly uniform.
@@ -160,6 +175,8 @@ public:
     Pcg32 fork(std::uint64_t salt);
 
 private:
+    static constexpr std::uint64_t mult = 6364136223846793005ULL;
+
     std::uint64_t state_;
     std::uint64_t inc_;
     double cached_gaussian_ = 0.0;

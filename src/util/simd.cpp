@@ -369,29 +369,55 @@ void excess_ratio_mask_scalar(const double* samples, std::size_t first,
 }
 
 void msk_decide_scalar(const double* interleaved_samples, std::size_t transitions,
-                       std::uint8_t* bits)
+                       std::uint64_t* words)
 {
-    for (std::size_t n = 0; n < transitions; ++n) {
-        // The rule is arg(y[n+1] * conj(y[n])) >= 0 — h and gamma cancel
-        // (Eq. 1), so no channel estimate is needed.  atan2 is monotone
-        // in the quadrant structure, so the decision only depends on the
-        // signs of the ratio's parts:
-        //   im > 0            -> arg in (0, pi)      -> 1
-        //   im < 0            -> arg in (-pi, 0)     -> 0
-        //   im == +0.0        -> arg is +0 or +pi    -> 1
-        //   im == -0.0        -> arg is -0 (re >= +0) or -pi (re < 0)
-        //                        and -0.0 >= 0.0 holds -> !signbit(re)
-        // The products are exactly the ones std::complex multiplication
-        // performs, so im/re match the arg-based path bit for bit.
-        const double ar = interleaved_samples[2 * n];
-        const double ai = interleaved_samples[2 * n + 1];
-        const double br = interleaved_samples[2 * n + 2];
-        const double bi = interleaved_samples[2 * n + 3];
-        const double im = br * -ai + bi * ar;
-        bool one = im > 0.0;
-        if (im == 0.0)
-            one = !std::signbit(im) || !std::signbit(br * ar - bi * -ai);
-        bits[n] = one ? 1 : 0;
+    for (std::size_t w = 0; w * 64 < transitions; ++w) {
+        std::uint64_t word = 0;
+        const std::size_t end = std::min(transitions, w * 64 + 64);
+        for (std::size_t n = w * 64; n < end; ++n) {
+            // The rule is arg(y[n+1] * conj(y[n])) >= 0 — h and gamma
+            // cancel (Eq. 1), so no channel estimate is needed.  atan2 is
+            // monotone in the quadrant structure, so the decision only
+            // depends on the signs of the ratio's parts:
+            //   im > 0            -> arg in (0, pi)      -> 1
+            //   im < 0            -> arg in (-pi, 0)     -> 0
+            //   im == +0.0        -> arg is +0 or +pi    -> 1
+            //   im == -0.0        -> arg is -0 (re >= +0) or -pi (re < 0)
+            //                        and -0.0 >= 0.0 holds -> !signbit(re)
+            // The products are exactly the ones std::complex
+            // multiplication performs, so im/re match the arg-based path
+            // bit for bit.
+            const double ar = interleaved_samples[2 * n];
+            const double ai = interleaved_samples[2 * n + 1];
+            const double br = interleaved_samples[2 * n + 2];
+            const double bi = interleaved_samples[2 * n + 3];
+            const double im = br * -ai + bi * ar;
+            bool one = im > 0.0;
+            if (im == 0.0)
+                one = !std::signbit(im) || !std::signbit(br * ar - bi * -ai);
+            word |= static_cast<std::uint64_t>(one) << (n & 63);
+        }
+        words[w] = word;
+    }
+}
+
+void msk_modulate_scalar(const std::uint64_t* words, std::size_t first,
+                         std::size_t count, double re, double im,
+                         double* interleaved_out)
+{
+    // The four quadrant samples, interleaved; -x is an exact sign flip.
+    const double quadrant[8] = {re, im, -im, re, -re, -im, im, -re};
+    std::uint64_t before = 0; // XOR of the bits before `first`
+    for (std::size_t k = 0; k < first / 64; ++k)
+        before ^= words[k];
+    if (first % 64 != 0)
+        before ^= words[first / 64] & ((std::uint64_t{1} << (first % 64)) - 1);
+    unsigned parity = static_cast<unsigned>(__builtin_parityll(before));
+    for (std::size_t n = first; n < first + count; ++n) {
+        parity ^= static_cast<unsigned>(words[n >> 6] >> (n & 63)) & 1u;
+        const std::size_t q = (3 * (n + 1) + 2 * parity) & 3u;
+        interleaved_out[2 * n] = quadrant[2 * q];
+        interleaved_out[2 * n + 1] = quadrant[2 * q + 1];
     }
 }
 
@@ -657,13 +683,24 @@ void excess_ratio_mask(const double* interleaved_samples, std::size_t windows,
 }
 
 void msk_decide(const double* interleaved_samples, std::size_t transitions,
-                std::uint8_t* bits)
+                std::uint64_t* words)
 {
-    const std::size_t head = lane_head(transitions);
+    const std::size_t head =
+        detail::active_lanes() == nullptr ? 0 : transitions & ~std::size_t{63};
     if (head != 0)
-        detail::active_lanes()->msk_decide(interleaved_samples, head, bits);
+        detail::active_lanes()->msk_decide(interleaved_samples, head, words);
     detail::msk_decide_scalar(interleaved_samples + 2 * head, transitions - head,
-                              bits + head);
+                              words + head / 64);
+}
+
+void msk_modulate(const std::uint64_t* words, std::size_t count, double re, double im,
+                  double* interleaved_out)
+{
+    const std::size_t head =
+        detail::active_lanes() == nullptr ? 0 : count & ~std::size_t{63};
+    if (head != 0)
+        detail::active_lanes()->msk_modulate(words, head, re, im, interleaved_out);
+    detail::msk_modulate_scalar(words, head, count - head, re, im, interleaved_out);
 }
 
 } // namespace anc::simd

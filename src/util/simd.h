@@ -33,11 +33,12 @@
 // sincos, log, polar), the interference decoder's (anc_candidates,
 // anc_select, diff_arg), the channel accumulates (rotor_accumulate,
 // cmul_accumulate), the Counter_normal pair (counter_normal_fill,
-// counter_normal_add_scaled), the bit-domain pilot scans
-// (pilot_scan_starts, pilot_scan_striped) and the receiver front end:
-// the detector scans (window_stats, mean_above_mask, excess_ratio_mask)
-// and the MSK decisions (msk_decide).  The pilot scans and the front end
-// approximate nothing, so every profile — exact included — runs them.
+// counter_normal_add_scaled), the fast MSK modulator (msk_modulate),
+// the bit-domain pilot scans (pilot_scan_starts, pilot_scan_striped) and
+// the receiver front end: the detector scans (window_stats,
+// mean_above_mask, excess_ratio_mask) and the MSK decisions
+// (msk_decide).  The pilot scans and the front end approximate nothing,
+// so every profile — exact included — runs them.
 //
 // The lanes are written once, in src/util/simd_lanes.cpp, and compiled
 // twice: with -mavx2 -mfma (4 doubles per vector) and with -mavx512f (8
@@ -210,12 +211,24 @@ void excess_ratio_mask(const double* interleaved_samples, std::size_t windows,
                        std::size_t window, double noise_power, double threshold,
                        std::uint64_t* mask, double* peak);
 
-/// MSK hard decisions: bits[n] = 1 iff arg(y[n+1]·conj(y[n])) >= 0, for n
-/// in [0, transitions), reading interleaved samples [0, transitions].
-/// Decided from the signs of the ratio's parts (no atan2), with the
-/// products std::complex multiplication performs.
+/// MSK hard decisions, packed: bit n of the words (bit n % 64 of word
+/// n / 64) is 1 iff arg(y[n+1]·conj(y[n])) >= 0, for n in [0,
+/// transitions), reading interleaved samples [0, transitions].  Decided
+/// from the signs of the ratio's parts (no atan2), with the products
+/// std::complex multiplication performs.  All ceil(transitions / 64)
+/// words are written; bits past the last transition are zero.
 void msk_decide(const double* interleaved_samples, std::size_t transitions,
-                std::uint8_t* bits);
+                std::uint64_t* words);
+
+/// The fast MSK modulator's samples after each bit of a packed sequence
+/// (util/bits.h layout).  Every sample is the initial one (re, im)
+/// rotated by a multiple of π/2, and the quadrant after bit n is
+///   (3·(n + 1) + 2·parity(bits[0..n])) & 3
+/// (a 1 steps +1, a 0 steps +3 ≡ −1): quadrant q's sample is
+/// (re, im), (−im, re), (−re, −im) or (im, −re), negation being an exact
+/// sign flip.  Writes interleaved_out[2n], [2n + 1] for n in [0, count).
+void msk_modulate(const std::uint64_t* words, std::size_t count, double re, double im,
+                  double* interleaved_out);
 
 namespace detail {
 
@@ -263,13 +276,18 @@ void excess_ratio_mask_scalar(const double* interleaved_samples, std::size_t fir
                               double noise_power, double threshold,
                               std::uint64_t* mask, double* peak);
 void msk_decide_scalar(const double* interleaved_samples, std::size_t transitions,
-                       std::uint8_t* bits);
+                       std::uint64_t* words);
+// Bits [first, first + count), written at their absolute positions.
+void msk_modulate_scalar(const std::uint64_t* words, std::size_t first,
+                         std::size_t count, double re, double im,
+                         double* interleaved_out);
 
 /// One lane backend: the kernels of util/simd_lanes.cpp as compiled at
 /// one vector width.  Each entry has the signature of the public kernel
 /// of the same name above and requires a block-aligned size — n (or
 /// samples, transitions) % width == 0, count % (2·width) == 0 for the
-/// Counter_normal pair, none for the pilot scans.  The detector scans
+/// Counter_normal pair, none for the pilot scans, n % 64 == 0 (whole
+/// words) for msk_decide and msk_modulate.  The detector scans
 /// take the *_scalar signatures with first >= 1 (window 0 is always the
 /// scalar code's), n % width == 0, and for the two masks first % 64 ==
 /// 0 and n % 64 == 0 (whole mask words).  The dispatchers split every
@@ -335,7 +353,9 @@ struct Lane_kernels {
                               double noise_power, double threshold,
                               std::uint64_t* mask, double* peak);
     void (*msk_decide)(const double* interleaved_samples, std::size_t transitions,
-                       std::uint8_t* bits);
+                       std::uint64_t* words);
+    void (*msk_modulate)(const std::uint64_t* words, std::size_t count, double re,
+                         double im, double* interleaved_out);
 };
 
 /// The lane kernels of `backend`; nullptr for Backend::scalar and for a

@@ -815,26 +815,62 @@ void excess_ratio_mask(const double* samples, std::size_t first, std::size_t n,
 }
 
 void msk_decide(const double* interleaved_samples, std::size_t transitions,
-                std::uint8_t* bits)
+                std::uint64_t* words)
 {
-    for (std::size_t n = 0; n < transitions; n += lanes) {
-        vd ar;
-        vd ai;
-        vd br;
-        vd bi;
-        deinterleave(interleaved_samples + 2 * n, ar, ai);
-        deinterleave(interleaved_samples + 2 * n + 2, br, bi);
-        const vd im = br * -ai + bi * ar;
-        const vd re = br * ar - bi * -ai;
-        // 1 where im > 0, or im == ±0 unless both im and re carry a sign
-        // bit (the scalar rule: im == -0.0 defers to !signbit(re)).
-        const vi both_negative = ((vi)im & (vi)re) < 0;
-        const unsigned one = movemask((im > 0.0) | ((im == 0.0) & ~both_negative));
-        // Each nibble of decisions spreads to four bytes with one multiply:
-        // its bits land in disjoint byte positions, so nothing carries.
-        for (std::size_t j = 0; j < lanes; j += 4) {
-            const std::uint32_t decided = (((one >> j) & 15) * 0x204081u) & 0x01010101u;
-            __builtin_memcpy(bits + n + j, &decided, sizeof decided);
+    for (std::size_t w = 0; w * 64 < transitions; ++w) {
+        std::uint64_t word = 0;
+        for (std::size_t j = 0; j < 64; j += lanes) {
+            const double* y = interleaved_samples + 2 * (w * 64 + j);
+            vd ar;
+            vd ai;
+            vd br;
+            vd bi;
+            deinterleave(y, ar, ai);
+            deinterleave(y + 2, br, bi);
+            const vd im = br * -ai + bi * ar;
+            const vd re = br * ar - bi * -ai;
+            // 1 where im > 0, or im == ±0 unless both im and re carry a
+            // sign bit (the scalar rule: im == -0.0 defers to !signbit(re)).
+            const vi both_negative = ((vi)im & (vi)re) < 0;
+            const std::uint64_t one =
+                movemask((im > 0.0) | ((im == 0.0) & ~both_negative));
+            word |= one << j;
+        }
+        words[w] = word;
+    }
+}
+
+/// The fast MSK modulator (see simd.h): per word, a prefix XOR gives the
+/// parity after each bit, and each sample is its quadrant's entry — a
+/// fixed base pattern whose sign bits the parity flips.  Bit k's sample
+/// is (im, re) for even k and (re, im) for odd k; with parity 0 its two
+/// sign bits are (0,1), (1,1), (1,0), (0,0) for k % 4 = 0, 1, 2, 3, and a
+/// parity of 1 flips both.  A vector holds lanes / 2 samples, starting at
+/// an even k, so the pattern and base are lane constants.
+void msk_modulate(const std::uint64_t* words, std::size_t count, double re,
+                  double im, double* interleaved_out)
+{
+    constexpr std::uint64_t sign_pattern[8] = {0, 1, 1, 1, 1, 0, 0, 0};
+    const vi lane = lane_index();
+    const vd base = ((lane ^ (lane >> 1)) & 1) == 0 ? splat(im) : splat(re);
+    const vu sample_of_lane = (vu)(lane >> 1);
+    std::uint64_t carry = 0; // all ones when the bits so far have odd parity
+    for (std::size_t w = 0; w * 64 < count; ++w) {
+        std::uint64_t p = words[w];
+        p ^= p << 1;
+        p ^= p << 2;
+        p ^= p << 4;
+        p ^= p << 8;
+        p ^= p << 16;
+        p ^= p << 32;
+        p ^= carry;
+        carry = 0 - (p >> 63);
+        const vu parity = (vu){} + p;
+        for (std::size_t j = 0; j < 64; j += lanes / 2) {
+            vu pattern;
+            __builtin_memcpy(&pattern, sign_pattern + 2 * (j % 4), sizeof pattern);
+            const vu flips = ((parity >> (sample_of_lane + j)) ^ pattern) & 1;
+            store(interleaved_out + 2 * (w * 64 + j), from_bits(bits(base) ^ (flips << 63)));
         }
     }
 }
@@ -915,6 +951,7 @@ extern const Lane_kernels ANC_LANE_TABLE = {
     mean_above_mask,
     excess_ratio_mask,
     msk_decide,
+    msk_modulate,
 };
 
 } // namespace anc::simd::detail

@@ -22,13 +22,11 @@ struct Test_node {
 
     dsp::Signal send(const phy::Frame_header& header, const Bits& payload, double phase)
     {
-        const Bits frame = modem.frame_bits(header, payload);
         Stored_frame stored;
         stored.header = header;
-        stored.frame_bits = frame;
-        stored.payload = payload;
+        modem.frame_bits(header, payload, stored.frame_bits);
         buffer.store(stored);
-        return modem.modulate(frame, phase);
+        return modem.modulate(stored.frame_bits, phase);
     }
 };
 

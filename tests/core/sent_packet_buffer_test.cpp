@@ -20,7 +20,6 @@ Stored_frame make_frame(std::uint8_t src, std::uint8_t dst, std::uint16_t seq)
     Stored_frame frame;
     frame.header = make_header(src, dst, seq);
     frame.frame_bits = Bits{1, 0, 1};
-    frame.payload = Bits{1, 1};
     return frame;
 }
 
@@ -58,13 +57,13 @@ TEST(SentPacketBuffer, OverwriteSameKey)
 {
     Sent_packet_buffer buffer;
     Stored_frame first = make_frame(1, 2, 10);
-    first.payload = Bits{0, 0, 0};
+    first.frame_bits = Bits{0, 0, 0};
     buffer.store(first);
     Stored_frame second = make_frame(1, 2, 10);
-    second.payload = Bits{1, 1, 1};
+    second.frame_bits = Bits{1, 1, 1};
     buffer.store(second);
     EXPECT_EQ(buffer.size(), 1u);
-    EXPECT_EQ(buffer.lookup(make_header(1, 2, 10))->payload, (Bits{1, 1, 1}));
+    EXPECT_EQ(buffer.lookup(make_header(1, 2, 10))->frame_bits, (Bits{1, 1, 1}));
 }
 
 TEST(SentPacketBuffer, EvictsOldestBeyondCapacity)

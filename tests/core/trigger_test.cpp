@@ -13,23 +13,22 @@ TEST(Trigger, SequenceIsStable)
 
 TEST(Trigger, EndsWithTriggerExact)
 {
-    Bits bits(100, 0);
-    const Bits& trigger = trigger_sequence();
-    bits.insert(bits.end(), trigger.begin(), trigger.end());
+    Bits bits(100);
+    bits.append(trigger_sequence());
     EXPECT_TRUE(ends_with_trigger(bits));
 }
 
 TEST(Trigger, EndsWithTriggerTolerance)
 {
-    Bits bits(50, 1);
+    Bits bits(50);
     Bits trigger = trigger_sequence();
-    trigger[5] ^= 1u;
-    bits.insert(bits.end(), trigger.begin(), trigger.end());
+    trigger.flip(5);
+    bits.append(trigger);
     EXPECT_TRUE(ends_with_trigger(bits, 2));
-    trigger[9] ^= 1u;
-    trigger[11] ^= 1u;
-    Bits worse(50, 1);
-    worse.insert(worse.end(), trigger.begin(), trigger.end());
+    trigger.flip(9);
+    trigger.flip(11);
+    Bits worse(50);
+    worse.append(trigger);
     EXPECT_FALSE(ends_with_trigger(worse, 2));
 }
 

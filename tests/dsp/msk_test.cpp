@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numbers>
+#include <vector>
 
 #include "dsp/ops.h"
 #include "util/bits.h"
+#include "util/fastmath.h"
 #include "util/phase.h"
 #include "util/rng.h"
 
@@ -13,6 +16,69 @@ namespace anc::dsp {
 namespace {
 
 constexpr double pi = std::numbers::pi;
+
+/// The historical byte-per-bit modulators, transcribed: the exact
+/// profile's std::polar recurrence with its ±π/2 select, and the fast
+/// profile's quadrant walk (every sample the initial one rotated by
+/// ±i, one quadrant step per bit).
+Signal historical_modulate(const std::vector<std::uint8_t>& bits, double amplitude,
+                           double initial_phase, Math_profile profile)
+{
+    Signal out;
+    if (profile == Math_profile::fast) {
+        double s = 0.0;
+        double c = 0.0;
+        fast_sincos(initial_phase, s, c);
+        const double re = amplitude * c;
+        const double im = amplitude * s;
+        const double quad_re[4] = {re, -im, -re, im};
+        const double quad_im[4] = {im, re, -im, -re};
+        out.push_back(Sample{re, im});
+        unsigned quadrant = 0;
+        for (const std::uint8_t bit : bits) {
+            quadrant = (quadrant + (bit ? 1u : 3u)) & 3u;
+            out.push_back(Sample{quad_re[quadrant], quad_im[quadrant]});
+        }
+        return out;
+    }
+    double phase = initial_phase;
+    out.push_back(std::polar(amplitude, phase));
+    bool unbounded = true;
+    for (const std::uint8_t bit : bits) {
+        const double stepped = phase + (bit ? pi / 2.0 : -pi / 2.0);
+        phase = unbounded ? wrap_phase(stepped) : wrap_phase_bounded(stepped);
+        unbounded = false;
+        out.push_back(std::polar(amplitude, phase));
+    }
+    return out;
+}
+
+TEST(MskModulator, MatchesHistoricalByteLoop)
+{
+    // Both profiles, bit for bit, at lengths around the word seams and at
+    // a full frame, from an initial phase in each quadrant (and two on
+    // the axes, where a component is ±0 and its sign flips must match).
+    Pcg32 rng{0x4d534b};
+    const std::size_t lengths[] = {0, 1, 63, 64, 65, 127, 2368};
+    const double phases[] = {0.3, 0.3 + pi / 2.0, 0.3 + pi, 0.3 + 1.5 * pi, 0.0, 7.5};
+    for (const Math_profile profile : {Math_profile::exact, Math_profile::fast}) {
+        for (const std::size_t n : lengths) {
+            const Bits bits = random_bits(n, rng);
+            std::vector<std::uint8_t> bytes(n);
+            for (std::size_t i = 0; i < n; ++i)
+                bytes[i] = bits[i];
+            for (const double phase : phases) {
+                const Signal expected = historical_modulate(bytes, 0.8, phase, profile);
+                const Signal got = Msk_modulator{0.8, phase, profile}.modulate(bits);
+                ASSERT_EQ(got.size(), expected.size());
+                EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                                      expected.size() * sizeof(Sample)),
+                          0)
+                    << to_string(profile) << " n " << n << " phase " << phase;
+            }
+        }
+    }
+}
 
 TEST(Msk, PhaseStepMapping)
 {

@@ -132,12 +132,12 @@ TEST(Sampling, EndToEndOversampledRoundTrip)
     // align by the best small offset.
     double best_ber = 1.0;
     for (std::size_t offset = 0; offset <= 2 && offset < decoded.size(); ++offset) {
-        const std::span<const std::uint8_t> tail{decoded.data() + offset,
-                                                 decoded.size() - offset};
-        const std::size_t common = std::min(tail.size(), bits.size());
-        best_ber = std::min(best_ber,
-                            bit_error_rate(tail.first(common),
-                                           std::span<const std::uint8_t>{bits}.first(common)));
+        const std::size_t common = std::min(decoded.size() - offset, bits.size());
+        Bits tail;
+        tail.assign(decoded, offset, common);
+        Bits head;
+        head.assign(bits, 0, common);
+        best_ber = std::min(best_ber, bit_error_rate(tail, head));
     }
     EXPECT_LT(best_ber, 0.01);
 }

@@ -56,7 +56,8 @@ TEST(FadingDeterminism, WarmDirtyWorkspaceProducesIdenticalJson)
         auto signal = dirty.signal();
         signal->assign(5000, dsp::Sample{123.0, -456.0});
         auto bits = dirty.bits();
-        bits->assign(4096, 1);
+        Pcg32 dirt{99};
+        *bits = random_bits(4096, dirt);
     }
     const dsp::Workspace::Bind bind{dirty};
     EXPECT_EQ(cold, run_to_json(small_fading_grid(), 1));

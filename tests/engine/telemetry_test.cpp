@@ -198,7 +198,7 @@ TEST(TelemetryTallies, FecDecodeCountsCodewordsAndCorrections)
 
     // One flipped bit: same codeword count, exactly one correction, and
     // the decode still recovers the data.
-    coded[3] ^= 1;
+    coded.flip(3);
     recorder.begin_task();
     EXPECT_EQ(codec.decode(coded, data.size()), data);
     EXPECT_EQ(recorder.task().counters[obs::Counter::fec_codewords], coded.size() / 7);

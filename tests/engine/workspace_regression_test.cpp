@@ -51,7 +51,8 @@ TEST(WorkspaceRegression, WarmWorkspaceProducesIdenticalJson)
         auto signal = dirty.signal();
         signal->assign(5000, dsp::Sample{123.0, -456.0});
         auto bits = dirty.bits();
-        bits->assign(4096, 1);
+        Pcg32 dirt{99};
+        *bits = random_bits(4096, dirt);
         auto reals = dirty.reals();
         reals->assign(4096, 3.14);
     }

@@ -28,7 +28,7 @@ TEST(FecCodec, CorrectsBurstWithInterleaving)
     // in one 7-bit word); with 8x7 interleaving each error lands in a
     // different codeword.
     for (std::size_t i = 100; i < 108; ++i)
-        coded[i] ^= 1u;
+        coded.flip(i);
     EXPECT_EQ(codec.decode(coded, data.size()), data);
 }
 
@@ -40,9 +40,9 @@ TEST(FecCodec, RandomSparseErrorsMostlyCorrected)
     Bits coded = codec.encode(data);
     // ~2% BER, the paper's ANC operating point.
     std::size_t flips = 0;
-    for (auto& bit : coded) {
+    for (std::size_t i = 0; i < coded.size(); ++i) {
         if (rng.next_bernoulli(0.02)) {
-            bit ^= 1u;
+            coded.flip(i);
             ++flips;
         }
     }

@@ -68,13 +68,13 @@ TEST(Hamming74, CorrectsScatteredErrors)
     Bits coded = hamming74_encode(data);
     // One error per codeword: all must be corrected.
     for (std::size_t block = 0; block + 7 <= coded.size(); block += 7)
-        coded[block + (block / 7) % 7] ^= 1u;
+        coded.flip(block + (block / 7) % 7);
     EXPECT_EQ(hamming74_decode(coded), data);
 }
 
 TEST(Hamming74, DecodeRejectsBadLength)
 {
-    EXPECT_THROW(hamming74_decode(Bits(8, 0)), std::invalid_argument);
+    EXPECT_THROW(hamming74_decode(Bits(8)), std::invalid_argument);
 }
 
 } // namespace

@@ -31,10 +31,10 @@ TEST(Interleaver, SpreadsBursts)
     const std::size_t rows = 8;
     const std::size_t cols = 7;
     const Block_interleaver interleaver{rows, cols};
-    Bits data(rows * cols, 0);
+    Bits data(rows * cols);
     Bits on_air = interleaver.interleave(data);
     for (std::size_t i = 0; i < rows; ++i)
-        on_air[20 + i] ^= 1u; // a burst of 8
+        on_air.flip(20 + i); // a burst of 8
     const Bits received = interleaver.deinterleave(on_air);
 
     // Count errors per 7-bit codeword: no codeword may carry more than 2.

@@ -41,4 +41,14 @@ if [ "$GLOBAL" != "$WANT" ]; then
     printf '%s\n' "$GLOBAL" >&2
     exit 1
 fi
+# Every table entry is a local function of each object; spot-check the
+# bit-path kernels by name (a missing one would mean the table points
+# somewhere other than this object's own lanes).
+for KERNEL in msk_decide msk_modulate pilot_scan_starts; do
+    COUNT=$(printf '%s\n' "$SYMBOLS" | awk -v k="$KERNEL" '$2 == "t" && $3 ~ k' | wc -l)
+    [ "$COUNT" -ge 2 ] || {
+        echo "FAIL: lane kernel $KERNEL is not defined locally in both lane objects" >&2
+        exit 1
+    }
+done
 echo "PASS: lane objects define only their two kernel tables globally"

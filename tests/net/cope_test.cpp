@@ -75,7 +75,7 @@ TEST(Cope, UnknownPacketCannotDecode)
 
 TEST(Cope, ParseRejectsShortPayload)
 {
-    EXPECT_FALSE(cope_parse(Bits(64, 0)).has_value());
+    EXPECT_FALSE(cope_parse(Bits(64)).has_value());
 }
 
 TEST(Cope, ParseRejectsCorruptEmbeddedHeader)
@@ -83,7 +83,7 @@ TEST(Cope, ParseRejectsCorruptEmbeddedHeader)
     const Packet a = make_packet(1, 3, 10, 64, 1210);
     const Packet b = make_packet(3, 1, 20, 64, 1211);
     Bits coded = cope_encode(a, b);
-    coded[10] ^= 1u; // inside header A
+    coded.flip(10); // inside header A
     EXPECT_FALSE(cope_parse(coded).has_value());
 }
 
@@ -101,7 +101,7 @@ TEST(Cope, BitErrorsInXorPropagateToOneSide)
     const Packet a = make_packet(1, 3, 10, 200, 1214);
     const Packet b = make_packet(3, 1, 20, 200, 1215);
     Bits coded = cope_encode(a, b);
-    coded[128 + 50] ^= 1u; // one payload bit error on the air
+    coded.flip(128 + 50); // one payload bit error on the air
     const auto parsed = cope_parse(coded);
     ASSERT_TRUE(parsed.has_value());
     const auto got_b = cope_decode(*parsed, header_for(a), a.payload);

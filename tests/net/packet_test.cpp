@@ -14,7 +14,7 @@ TEST(Packet, HeaderForPacket)
     packet.src = 3;
     packet.dst = 9;
     packet.seq = 1234;
-    packet.payload = Bits(100, 1);
+    packet.payload = Bits(100);
     const phy::Frame_header header = header_for(packet);
     EXPECT_EQ(header.src, 3);
     EXPECT_EQ(header.dst, 9);
@@ -25,7 +25,7 @@ TEST(Packet, HeaderForPacket)
 TEST(Packet, HeaderForOversizedPayloadThrows)
 {
     Packet packet;
-    packet.payload = Bits(70000, 0);
+    packet.payload = Bits(70000);
     EXPECT_THROW(header_for(packet), std::invalid_argument);
 }
 
@@ -79,8 +79,15 @@ TEST(NetNode, RememberStoresWithoutTransmitting)
     node.remember(packet);
     const Stored_frame* stored = node.buffer().lookup(header_for(packet));
     ASSERT_NE(stored, nullptr);
-    EXPECT_EQ(stored->payload, packet.payload);
     EXPECT_EQ(stored->frame_bits.size(), phy::frame_length(128));
+    // The stored frame carries the packet's payload, whitened.
+    const auto parsed = phy::parse_frame_at(stored->frame_bits, 0);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_TRUE(parsed->crc_ok);
+    Bits payload;
+    payload.assign(stored->frame_bits, parsed->payload_pos, 128);
+    node.modem().descramble(payload);
+    EXPECT_EQ(payload, packet.payload);
 }
 
 TEST(NetNode, RegeneratedFrameBitsMatchTransmitted)

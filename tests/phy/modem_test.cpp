@@ -20,6 +20,13 @@ Frame_header make_header(std::uint16_t payload_bits, std::uint16_t seq = 1)
     return header;
 }
 
+Bits frame_bits_of(const Modem& modem, const Frame_header& header, const Bits& payload)
+{
+    Bits frame;
+    modem.frame_bits(header, payload, frame);
+    return frame;
+}
+
 TEST(Modem, LoopbackRoundTrip)
 {
     Pcg32 rng{451};
@@ -56,9 +63,9 @@ TEST(Modem, RoundTripThroughDistortedChannel)
 TEST(Modem, FrameBitsAreWhitened)
 {
     // A constant payload must not appear as a constant run on the air.
-    const Bits zeros(600, 0);
+    const Bits zeros(600);
     const Modem modem;
-    const Bits on_air = modem.frame_bits(make_header(600), zeros);
+    const Bits on_air = frame_bits_of(modem, make_header(600), zeros);
     const Frame_offsets o = frame_offsets(600);
     std::size_t ones = 0;
     for (std::size_t i = o.payload; i < o.tail_crc; ++i)
@@ -71,12 +78,13 @@ TEST(Modem, DescrambleInvertsWhitening)
     Pcg32 rng{454};
     const Bits payload = random_bits(128, rng);
     const Modem modem;
-    const Bits on_air = modem.frame_bits(make_header(128), payload);
+    const Bits on_air = frame_bits_of(modem, make_header(128), payload);
     const Frame_offsets o = frame_offsets(128);
-    const Bits whitened{on_air.begin() + static_cast<long>(o.payload),
-                        on_air.begin() + static_cast<long>(o.payload + 128)};
+    Bits whitened;
+    whitened.assign(on_air, o.payload, 128);
     EXPECT_NE(whitened, payload);
-    EXPECT_EQ(modem.descramble(whitened), payload);
+    modem.descramble(whitened);
+    EXPECT_EQ(whitened, payload);
 }
 
 TEST(Modem, NoFrameInNoise)
@@ -97,9 +105,9 @@ TEST(Modem, SurvivesSparseBitErrors)
     Pcg32 rng{457};
     const Bits payload = random_bits(64, rng);
     const Modem modem;
-    Bits frame_bits = modem.frame_bits(make_header(64), payload);
-    frame_bits[2] ^= 1u;  // pilot bit
-    frame_bits[40] ^= 1u; // pilot bit
+    Bits frame_bits = frame_bits_of(modem, make_header(64), payload);
+    frame_bits.flip(2);  // pilot bit
+    frame_bits.flip(40); // pilot bit
     const dsp::Signal signal = modem.modulate(frame_bits);
     const auto frame = modem.receive(signal);
     ASSERT_TRUE(frame.has_value());
@@ -112,8 +120,8 @@ TEST(Modem, HeaderCorruptionFailsReceive)
     Pcg32 rng{458};
     const Bits payload = random_bits(64, rng);
     const Modem modem;
-    Bits frame_bits = modem.frame_bits(make_header(64), payload);
-    frame_bits[80] ^= 1u; // header bit -> CRC mismatch
+    Bits frame_bits = frame_bits_of(modem, make_header(64), payload);
+    frame_bits.flip(80); // header bit -> CRC mismatch
     EXPECT_FALSE(modem.receive(modem.modulate(frame_bits)).has_value());
 }
 
@@ -136,9 +144,9 @@ TEST(Modem, PayloadCorruptionFailsReceive)
     Pcg32 rng{459};
     const Bits payload = random_bits(64, rng);
     const Modem modem;
-    Bits frame_bits = modem.frame_bits(make_header(64), payload);
+    Bits frame_bits = frame_bits_of(modem, make_header(64), payload);
     const Frame_offsets o = frame_offsets(64);
-    frame_bits[o.payload + 5] ^= 1u;
+    frame_bits.flip(o.payload + 5);
     EXPECT_FALSE(modem.receive(modem.modulate(frame_bits)).has_value());
 }
 

@@ -1,5 +1,5 @@
 // The bit-domain pilot search (phy/pilot.h) claims to be a pure speedup
-// of the historical byte-per-bit scan: identical Pattern_match — both
+// of the historical bit-by-bit scan: identical Pattern_match — both
 // position AND error count — for every (haystack, pattern, from, to,
 // max_errors).  find_pattern_scalar is a frozen transcription of that
 // historical loop, so these property tests randomize over bit strings
@@ -48,7 +48,6 @@ TEST(PilotPacked, RandomizedAgainstScalarReference)
         const Packed_pattern packed_pattern{pattern};
         for (const std::size_t hay_len : haystack_lengths) {
             const Bits bits = random_bits(hay_len, rng);
-            const Packed_bits packed_bits{bits};
             const std::size_t max_errors_cases[] = {0, 1, 8, pat_len};
             for (const std::size_t max_errors : max_errors_cases) {
                 // Full span, a clamped-past-the-end `to`, an interior
@@ -62,12 +61,12 @@ TEST(PilotPacked, RandomizedAgainstScalarReference)
                 for (const auto& span : spans) {
                     const auto reference = find_pattern_scalar(
                         bits, pattern, span[0], span[1], max_errors);
-                    const auto via_span = find_pattern(bits, pattern, span[0],
+                    const auto via_bits = find_pattern(bits, pattern, span[0],
                                                        span[1], max_errors);
                     const auto via_packed =
-                        find_pattern(packed_bits, packed_pattern, span[0],
+                        find_pattern(bits, packed_pattern, span[0],
                                      span[1], max_errors);
-                    expect_same_match(via_span, reference, "span overload");
+                    expect_same_match(via_bits, reference, "bits overload");
                     expect_same_match(via_packed, reference, "packed overload");
                 }
             }
@@ -85,15 +84,14 @@ TEST(PilotPacked, TiePositionsResolveIdentically)
     const Bits pattern = random_bits(64, rng);
     Bits bits = random_bits(400, rng);
     for (std::size_t i = 0; i < 64; ++i) {
-        bits[100 + i] = pattern[i];
-        bits[260 + i] = pattern[i];
+        bits.set(100 + i, pattern[i]);
+        bits.set(260 + i, pattern[i]);
     }
-    const Packed_bits packed_bits{bits};
     const Packed_pattern packed_pattern{pattern};
     for (const std::size_t max_errors : {std::size_t{0}, std::size_t{64}}) {
         const auto reference =
             find_pattern_scalar(bits, pattern, 0, bits.size(), max_errors);
-        const auto packed = find_pattern(packed_bits, packed_pattern, 0,
+        const auto packed = find_pattern(bits, packed_pattern, 0,
                                          bits.size(), max_errors);
         ASSERT_TRUE(reference.has_value());
         EXPECT_EQ(reference->position, 100u);
@@ -103,7 +101,7 @@ TEST(PilotPacked, TiePositionsResolveIdentically)
 
 TEST(PilotPacked, CachedPilotPatternsMatchAdHocPacking)
 {
-    // The span overload routes the two protocol patterns through the
+    // The Bits overload routes the two protocol patterns through the
     // per-process packed caches (pointer identity); the result must be
     // the same as packing those bits fresh.
     Pcg32 rng{0xcafe, 2};
@@ -111,15 +109,14 @@ TEST(PilotPacked, CachedPilotPatternsMatchAdHocPacking)
     const Bits& pilot = pilot_sequence();
     const Bits& mirror = pilot_mirrored();
     for (std::size_t i = 0; i < pilot_length; ++i) {
-        bits[37 + i] = pilot[i];
-        bits[450 + i] = mirror[i];
+        bits.set(37 + i, pilot[i]);
+        bits.set(450 + i, mirror[i]);
     }
-    const Packed_bits packed_bits{bits};
     for (const Bits* pattern : {&pilot, &mirror}) {
         const auto reference =
             find_pattern_scalar(bits, *pattern, 0, bits.size(), 6);
         const auto cached = find_pattern(bits, *pattern, 0, bits.size(), 6);
-        const auto fresh = find_pattern(packed_bits, Packed_pattern{*pattern}, 0,
+        const auto fresh = find_pattern(bits, Packed_pattern{*pattern}, 0,
                                         bits.size(), 6);
         expect_same_match(cached, reference, "cached pattern");
         expect_same_match(fresh, reference, "fresh packing");
@@ -139,11 +136,10 @@ TEST(PilotPacked, DegenerateCallsReturnNothing)
     // Haystack shorter than the pattern, and an empty pattern.
     EXPECT_FALSE(find_pattern(bits, pattern, 0, bits.size(), 8).has_value());
     EXPECT_FALSE(find_pattern(bits, Bits{}, 0, bits.size(), 8).has_value());
-    const Packed_bits packed_bits{bits};
     const Packed_pattern packed_pattern{pattern};
     EXPECT_FALSE(
-        find_pattern(packed_bits, packed_pattern, 0, bits.size(), 8).has_value());
-    EXPECT_FALSE(find_pattern(packed_bits, Packed_pattern{Bits{}}, 0, bits.size(), 8)
+        find_pattern(bits, packed_pattern, 0, bits.size(), 8).has_value());
+    EXPECT_FALSE(find_pattern(bits, Packed_pattern{Bits{}}, 0, bits.size(), 8)
                      .has_value());
 }
 

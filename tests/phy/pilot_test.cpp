@@ -22,8 +22,8 @@ TEST(Pilot, MirroredIsReversed)
 TEST(Pilot, IsBalanced)
 {
     std::size_t ones = 0;
-    for (const auto bit : pilot_sequence())
-        ones += bit;
+    for (std::size_t i = 0; i < pilot_length; ++i)
+        ones += pilot_sequence()[i];
     EXPECT_GE(ones, 20u);
     EXPECT_LE(ones, 44u);
 }
@@ -31,9 +31,9 @@ TEST(Pilot, IsBalanced)
 TEST(Pilot, FindExactMatch)
 {
     Pcg32 rng{401};
-    Bits haystack = random_bits(100, rng);
-    const Bits& pilot = pilot_sequence();
-    haystack.insert(haystack.begin() + 37, pilot.begin(), pilot.end());
+    Bits haystack = random_bits(37, rng);
+    haystack.append(pilot_sequence());
+    haystack.append(random_bits(63, rng));
     const auto match = find_pilot(haystack, 0);
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(match->position, 37u);
@@ -45,9 +45,9 @@ TEST(Pilot, FindWithErrors)
     Pcg32 rng{402};
     Bits haystack = random_bits(60, rng);
     Bits noisy_pilot = pilot_sequence();
-    noisy_pilot[3] ^= 1u;
-    noisy_pilot[40] ^= 1u;
-    haystack.insert(haystack.end(), noisy_pilot.begin(), noisy_pilot.end());
+    noisy_pilot.flip(3);
+    noisy_pilot.flip(40);
+    haystack.append(noisy_pilot);
     const auto match = find_pilot(haystack, 6);
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(match->position, 60u);
@@ -59,7 +59,7 @@ TEST(Pilot, NoMatchBeyondTolerance)
     Pcg32 rng{403};
     Bits noisy_pilot = pilot_sequence();
     for (int i = 0; i < 10; ++i)
-        noisy_pilot[i * 6] ^= 1u;
+        noisy_pilot.flip(i * 6);
     const auto match = find_pilot(noisy_pilot, 6);
     EXPECT_FALSE(match.has_value());
 }
@@ -80,9 +80,10 @@ TEST(Pilot, RarelyMatchesRandomBits)
 
 TEST(Pilot, FindPatternRangeRespected)
 {
-    Bits haystack(200, 0);
+    Bits haystack(200);
     const Bits pattern{1, 1, 1, 1};
-    haystack[100] = haystack[101] = haystack[102] = haystack[103] = 1;
+    for (const std::size_t i : {100, 101, 102, 103})
+        haystack.set(i, true);
     EXPECT_FALSE(find_pattern(haystack, pattern, 0, 50, 0).has_value());
     const auto match = find_pattern(haystack, pattern, 0, 150, 0);
     ASSERT_TRUE(match.has_value());
@@ -91,11 +92,11 @@ TEST(Pilot, FindPatternRangeRespected)
 
 TEST(Pilot, FindPatternPrefersFewestErrors)
 {
-    Bits haystack(64, 0);
+    Bits haystack(64);
     const Bits pattern{1, 1, 1, 1};
     // Position 10: 3 of 4 bits match; position 30: exact match.
-    haystack[10] = haystack[11] = haystack[12] = 1;
-    haystack[30] = haystack[31] = haystack[32] = haystack[33] = 1;
+    for (const std::size_t i : {10, 11, 12, 30, 31, 32, 33})
+        haystack.set(i, true);
     const auto match = find_pattern(haystack, pattern, 0, haystack.size(), 1);
     ASSERT_TRUE(match.has_value());
     EXPECT_EQ(match->position, 30u);
@@ -107,7 +108,7 @@ TEST(Pilot, EmptyOrOversizedInputs)
     const Bits pattern{1, 0};
     EXPECT_FALSE(find_pattern(Bits{}, pattern, 0, 10, 0).has_value());
     EXPECT_FALSE(find_pattern(Bits{1}, pattern, 0, 10, 0).has_value());
-    EXPECT_FALSE(find_pilot(Bits(32, 0), 6).has_value());
+    EXPECT_FALSE(find_pilot(Bits(32), 6).has_value());
 }
 
 } // namespace

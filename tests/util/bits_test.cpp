@@ -2,29 +2,101 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace anc {
 namespace {
 
-TEST(Bits, PackUnpackRoundTrip)
+using Byte_bits = std::vector<std::uint8_t>;
+
+Byte_bits byte_per_bit(const Bits& bits)
 {
-    const std::vector<std::uint8_t> bytes{0xde, 0xad, 0xbe, 0xef, 0x00, 0xff};
-    const Bits bits = unpack_bytes(bytes);
-    EXPECT_EQ(bits.size(), bytes.size() * 8);
-    EXPECT_EQ(pack_bits(bits), bytes);
+    Byte_bits out(bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        out[i] = bits[i];
+    return out;
 }
 
-TEST(Bits, UnpackIsMsbFirst)
+TEST(Bits, PackedLayoutIsLsbFirst)
 {
-    const std::vector<std::uint8_t> one_byte{0b10110001};
-    const Bits bits = unpack_bytes(one_byte);
-    const Bits expected{1, 0, 1, 1, 0, 0, 0, 1};
-    EXPECT_EQ(bits, expected);
+    const Bits bits{1, 0, 1, 1};
+    ASSERT_EQ(bits.size(), 4u);
+    EXPECT_EQ(bits.word_count(), 1u);
+    EXPECT_EQ(bits.data()[0], 0b1101u);
+    // Two zero pad words follow the last used word.
+    EXPECT_EQ(bits.data()[1], 0u);
+    EXPECT_EQ(bits.data()[2], 0u);
+    Bits ones;
+    ones.append(~std::uint64_t{0}, 64);
+    ones.append(~std::uint64_t{0}, 6);
+    EXPECT_EQ(ones.data()[0], ~std::uint64_t{0});
+    EXPECT_EQ(ones.data()[1], 0x3fu);
+    EXPECT_EQ(ones.data()[2], 0u);
 }
 
-TEST(Bits, PackRejectsPartialByte)
+TEST(Bits, OpsMatchByteReferenceOnRaggedLengths)
 {
-    const Bits bits{1, 0, 1};
-    EXPECT_THROW(pack_bits(bits), std::invalid_argument);
+    // Word-level XOR, distance, BER, mirroring, splicing and extraction
+    // against byte-per-bit references, on lengths that are multiples of
+    // neither 8 nor 64.
+    Pcg32 rng{13};
+    for (int trial = 0; trial < 100; ++trial) {
+        std::size_t n = 1 + rng.next_u32() % 700;
+        if (n % 8 == 0)
+            ++n;
+        const std::size_t m = n - rng.next_u32() % n; // 1..n
+        const Bits a = random_bits(n, rng);
+        const Bits b = random_bits(n, rng);
+        const Bits c = random_bits(m, rng);
+        const Byte_bits ra = byte_per_bit(a);
+        const Byte_bits rb = byte_per_bit(b);
+        const Byte_bits rc = byte_per_bit(c);
+
+        const Bits x = xor_bits(a, b);
+        std::size_t ab = 0;
+        std::size_t ac = n - m;
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(x[i], ra[i] ^ rb[i]);
+            ab += ra[i] != rb[i];
+            if (i < m)
+                ac += ra[i] != rc[i];
+        }
+        EXPECT_EQ(hamming_distance(a, b), ab);
+        EXPECT_EQ(hamming_distance(a, c), ac);
+        EXPECT_EQ(hamming_distance(c, a), ac);
+        EXPECT_DOUBLE_EQ(bit_error_rate(a, c),
+                         static_cast<double>(ac) / static_cast<double>(n));
+
+        const Byte_bits rm = byte_per_bit(mirrored(a));
+        EXPECT_EQ(mirrored(mirrored(a)), a);
+        EXPECT_EQ(rm, Byte_bits(ra.rbegin(), ra.rend()));
+
+        Bits joined = c;
+        joined.append(a);
+        Byte_bits rj = rc;
+        rj.insert(rj.end(), ra.begin(), ra.end());
+        EXPECT_EQ(byte_per_bit(joined), rj);
+        const std::size_t from = rng.next_u32() % n;
+        const std::size_t count = n - from;
+        Bits part;
+        part.assign(joined, m + from, count);
+        EXPECT_EQ(byte_per_bit(part), Byte_bits(ra.begin() + static_cast<long>(from), ra.end()));
+        const auto width = static_cast<unsigned>(std::min<std::size_t>(64, count));
+        std::uint64_t expected = 0;
+        for (unsigned i = 0; i < width; ++i)
+            expected |= static_cast<std::uint64_t>(ra[from + i]) << i;
+        EXPECT_EQ(joined.extract(m + from, width), expected);
+    }
+}
+
+TEST(Bits, RandomBitsTakeBitZeroOfEachDraw)
+{
+    Pcg32 rng{14};
+    Pcg32 replay{14};
+    const Bits bits = random_bits(333, rng);
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        ASSERT_EQ(bits[i], replay.next_u32() & 1u) << i;
 }
 
 TEST(Bits, AppendAndReadUint)
@@ -94,8 +166,8 @@ TEST(Bits, RandomBitsAreBalanced)
     Pcg32 rng{12};
     const Bits bits = random_bits(10000, rng);
     std::size_t ones = 0;
-    for (const auto b : bits)
-        ones += b;
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        ones += bits[i];
     EXPECT_NEAR(static_cast<double>(ones) / 10000.0, 0.5, 0.03);
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -32,9 +35,9 @@ TEST(Crc32, DetectsSingleBitFlip)
     Bits bits = random_bits(512, rng);
     const std::uint32_t original = crc32(bits);
     for (std::size_t i = 0; i < bits.size(); i += 37) {
-        bits[i] ^= 1u;
+        bits.flip(i);
         EXPECT_NE(crc32(bits), original) << "flip at " << i;
-        bits[i] ^= 1u;
+        bits.flip(i);
     }
     EXPECT_EQ(crc32(bits), original);
 }
@@ -42,8 +45,12 @@ TEST(Crc32, DetectsSingleBitFlip)
 TEST(Crc16, KnownVector)
 {
     // CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
+    // The MSB-first algorithm consumes each byte most-significant-bit
+    // first.
     const std::vector<std::uint8_t> ascii{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-    const Bits bits = unpack_bytes(ascii);
+    Bits bits;
+    for (const std::uint8_t byte : ascii)
+        append_uint(bits, byte, 8);
     EXPECT_EQ(crc16(bits), 0x29B1u);
 }
 
@@ -56,10 +63,10 @@ TEST(Crc16, DetectsBurstErrors)
     // bursts shorter than its width.
     for (std::size_t burst = 1; burst <= 16; ++burst) {
         for (std::size_t i = 0; i < burst; ++i)
-            bits[64 + i] ^= 1u;
+            bits.flip(64 + i);
         EXPECT_NE(crc16(bits), original) << "burst length " << burst;
         for (std::size_t i = 0; i < burst; ++i)
-            bits[64 + i] ^= 1u;
+            bits.flip(64 + i);
     }
 }
 
@@ -71,11 +78,12 @@ TEST(Crc16, DifferentDataDifferentCrc)
     EXPECT_NE(crc16(a), crc16(b));
 }
 
-/// Bit-by-bit reference transcriptions of the historical loops.  The
-/// production functions were rewritten table-driven (8 bits per lookup);
-/// the table form is the textbook identity for the same polynomial
-/// division, and these pin it — including the sub-byte tail path — to
-/// the original, bit for bit.
+/// Bit-by-bit reference transcriptions of the historical byte-per-bit
+/// loops.  The production functions run table-driven over packed words
+/// (slice-by-8, then bytes, then bits); the table forms are the textbook
+/// identities for the same polynomial division, and these pin them —
+/// including the sub-byte tail and unaligned ranges — to the original,
+/// bit for bit.
 std::uint32_t crc32_bitwise(std::span<const std::uint8_t> bits)
 {
     std::uint32_t crc = 0xffffffffu;
@@ -98,16 +106,44 @@ std::uint16_t crc16_bitwise(std::span<const std::uint8_t> bits)
     return crc;
 }
 
+std::vector<std::uint8_t> byte_per_bit(const Bits& bits, std::size_t from, std::size_t count)
+{
+    std::vector<std::uint8_t> out(count);
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = bits[from + i];
+    return out;
+}
+
 TEST(Crc, TableDrivenMatchesBitwiseReference)
 {
     Pcg32 rng{24};
     for (const std::size_t length :
          {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
           std::size_t{9}, std::size_t{63}, std::size_t{64}, std::size_t{509},
-          std::size_t{2048}}) {
+          std::size_t{2048}, std::size_t{2053}}) {
         const Bits bits = random_bits(length, rng);
-        EXPECT_EQ(crc32(bits), crc32_bitwise(bits)) << "length " << length;
-        EXPECT_EQ(crc16(bits), crc16_bitwise(bits)) << "length " << length;
+        const auto reference = byte_per_bit(bits, 0, length);
+        EXPECT_EQ(crc32(bits), crc32_bitwise(reference)) << "length " << length;
+        EXPECT_EQ(crc16(bits), crc16_bitwise(reference)) << "length " << length;
+    }
+}
+
+TEST(Crc, UnalignedRangesMatchBitwiseReference)
+{
+    // Ranges starting anywhere inside a word, of random lengths that are
+    // multiples of neither 8 nor 64 (the frame's payload sits at bit 160).
+    Pcg32 rng{25};
+    const Bits bits = random_bits(3000, rng);
+    for (int trial = 0; trial < 200; ++trial) {
+        const std::size_t from = rng.next_u32() % 200;
+        std::size_t count = rng.next_u32() % 2700;
+        if (count % 8 == 0)
+            ++count;
+        const auto reference = byte_per_bit(bits, from, count);
+        EXPECT_EQ(crc32(bits.data(), from, count), crc32_bitwise(reference))
+            << from << "+" << count;
+        EXPECT_EQ(crc16(bits.data(), from, count), crc16_bitwise(reference))
+            << from << "+" << count;
     }
 }
 

@@ -336,12 +336,12 @@ void expect_scans_equal_scalar(const detail::Lane_kernels& lanes,
 void expect_msk_decide_equal_scalar(const detail::Lane_kernels& lanes,
                                     const std::vector<double>& x)
 {
-    const std::size_t transitions = (x.size() / 2 - 1) & ~std::size_t{15};
-    std::vector<std::uint8_t> b1(transitions), b2(transitions);
-    lanes.msk_decide(x.data(), transitions, b1.data());
-    detail::msk_decide_scalar(x.data(), transitions, b2.data());
-    for (std::size_t n = 0; n < transitions; ++n)
-        EXPECT_EQ(b1[n], b2[n]) << "msk_decide transition " << n;
+    const std::size_t transitions = (x.size() / 2 - 1) & ~std::size_t{63};
+    std::vector<std::uint64_t> w1(transitions / 64), w2(transitions / 64);
+    lanes.msk_decide(x.data(), transitions, w1.data());
+    detail::msk_decide_scalar(x.data(), transitions, w2.data());
+    for (std::size_t w = 0; w < w1.size(); ++w)
+        EXPECT_EQ(w1[w], w2[w]) << "msk_decide word " << w;
 }
 
 /// The front-end kernels of `lanes` at power-of-two and divide-path
@@ -416,6 +416,24 @@ void expect_lanes_equal_scalar(const detail::Lane_kernels& lanes, std::uint64_t 
     for (std::size_t i = 0; i < 2 * samples; ++i) {
         expect_same_bits(r1[i], r2[i], "rotor accumulate lanes-vs-scalar", i);
         expect_same_bits(m1[i], m2[i], "cmul accumulate lanes-vs-scalar", i);
+    }
+
+    // The fast MSK modulator: random words, and initial samples with
+    // signed zeros (a sign flip of ±0 must match the scalar table).
+    {
+        Pcg32 bit_rng{seed, 7};
+        std::vector<std::uint64_t> bit_words(40);
+        for (std::uint64_t& w : bit_words)
+            w = bit_rng.next_u64();
+        const std::size_t count = 64 * bit_words.size();
+        for (const auto& [re, im] : {std::pair{0.83, -0.31}, std::pair{0.0, 1.0},
+                                     std::pair{-0.0, -1.0}, std::pair{-0.6, 0.0}}) {
+            std::vector<double> q1(2 * count, 9.0), q2(2 * count, 7.0);
+            lanes.msk_modulate(bit_words.data(), count, re, im, q1.data());
+            detail::msk_modulate_scalar(bit_words.data(), 0, count, re, im, q2.data());
+            for (std::size_t i = 0; i < 2 * count; ++i)
+                expect_same_bits(q1[i], q2[i], "msk_modulate lanes-vs-scalar", i);
+        }
     }
 
     const Counter_normal gen{seed, 5};
@@ -642,16 +660,20 @@ TEST(SimdKernels, MskDecideFollowsTheArgRuleOnSignedZeros)
     for (const std::size_t samples : {std::size_t{2}, std::size_t{5}, std::size_t{9},
                                       std::size_t{33}, std::size_t{1030}}) {
         const std::size_t transitions = samples - 1;
-        std::vector<std::uint8_t> bits(transitions, 7);
-        simd::msk_decide(x.data(), transitions, bits.data());
+        std::vector<std::uint64_t> words((transitions + 63) / 64, ~std::uint64_t{0});
+        simd::msk_decide(x.data(), transitions, words.data());
+        if (transitions % 64 != 0) {
+            EXPECT_EQ(words.back() >> (transitions % 64), 0u) << "bits past the end";
+        }
         for (std::size_t n = 0; n < transitions; ++n) {
+            const unsigned bit = (words[n / 64] >> (n % 64)) & 1u;
             const double ar = x[2 * n];
             const double ai = x[2 * n + 1];
             const double br = x[2 * n + 2];
             const double bi = x[2 * n + 3];
             const double im = br * -ai + bi * ar;
             const double re = br * ar - bi * -ai;
-            EXPECT_EQ(bits[n], std::atan2(im, re) >= 0.0 ? 1 : 0)
+            EXPECT_EQ(bit, std::atan2(im, re) >= 0.0 ? 1u : 0u)
                 << "transition " << n << ": im " << im << ", re " << re;
         }
     }

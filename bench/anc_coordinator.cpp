@@ -14,8 +14,9 @@
 // and are forwarded verbatim to every worker, so the workers' journal
 // headers fingerprint-match the coordinator's grid by construction.
 // Shard journals and per-worker stderr logs land in --work-dir; rerunning
-// the coordinator over a populated work dir resumes it (complete shard
-// journals are adopted without relaunching anything).
+// the coordinator over a populated work dir resumes it from those files:
+// complete journals are done, shards whose worker log a live worker tree
+// still locks are adopted, the rest relaunch at once with --resume.
 //
 // Exit codes mirror anc_sweep: 0 success, 2 usage, 3 task errors or an
 // incomplete merge (a shard burned its retries), 4 interrupted.  A
@@ -29,7 +30,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -71,18 +71,20 @@ int usage(const char* argv0, const char* error = nullptr)
         "  --shards S             shard count (default = workers; S > N\n"
         "                         enables work stealing)\n"
         "  --work-dir DIR         shard journals + worker logs (created if\n"
-        "                         missing; rerun over it to resume)\n"
+        "                         missing; rerun over it to resume: shards\n"
+        "                         whose workers are still alive are adopted)\n"
         "  --worker-threads N     --threads for each worker (default 1)\n"
         "  --heartbeat-ms MS      liveness watchdog: kill + reassign a worker\n"
         "                         whose journal stalls this long (default 30000)\n"
         "  --poll-ms MS           supervision poll cadence (default 25)\n"
         "  --shard-retries N      extra launches per shard after the first\n"
-        "                         before declaring it failed (default 2)\n"
+        "                         before declaring it failed (default 2;\n"
+        "                         counted afresh on every run)\n"
         "  --startup-timeout-ms MS  kill a worker that never writes its journal\n"
         "                         header within MS (default: --heartbeat-ms)\n"
         "  --relaunch-initial-ms MS / --relaunch-max-ms MS\n"
         "                         exponential backoff before relaunching a\n"
-        "                         failed shard (defaults 100 / 5000)\n"
+        "                         failed shard (defaults 100 / 5000, initial <= max)\n"
         "\n"
         "remote fleets (ENGINE.md \"Remote workers\"):\n"
         "  --worker-journal-dir D worker-side journal directory (default\n"
@@ -152,30 +154,30 @@ int main(int argc, char** argv)
             if (arg == "--worker")
                 worker_bin = value();
             else if (arg == "--workers")
-                config.workers = parse_size_axis(value()).front();
+                config.workers = parse_count(arg, value());
             else if (arg == "--shards")
-                config.shards = parse_size_axis(value()).front();
+                config.shards = parse_count(arg, value());
             else if (arg == "--work-dir")
                 work_dir = value();
             else if (arg == "--worker-threads")
-                worker_threads = parse_size_axis(value()).front();
+                worker_threads = parse_count(arg, value());
             else if (arg == "--heartbeat-ms")
                 config.heartbeat_timeout =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                    std::chrono::milliseconds{parse_count(arg, value())};
             else if (arg == "--poll-ms")
                 config.poll_interval =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                    std::chrono::milliseconds{parse_count(arg, value())};
             else if (arg == "--shard-retries")
-                shard_retries = parse_size_axis(value()).front();
+                shard_retries = parse_count(arg, value());
             else if (arg == "--startup-timeout-ms")
                 config.startup_timeout =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                    std::chrono::milliseconds{parse_count(arg, value())};
             else if (arg == "--relaunch-initial-ms")
                 config.relaunch_backoff.initial =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                    std::chrono::milliseconds{parse_count(arg, value())};
             else if (arg == "--relaunch-max-ms")
                 config.relaunch_backoff.max =
-                    std::chrono::milliseconds{parse_size_axis(value()).front()};
+                    std::chrono::milliseconds{parse_count(arg, value())};
             else if (arg == "--worker-journal-dir")
                 config.worker_journal_dir = value();
             else if (arg == "--launch-template")
@@ -205,6 +207,9 @@ int main(int argc, char** argv)
             return usage(argv[0], "at least one --scenario is required");
         if (config.workers == 0)
             return usage(argv[0], "--workers must be >= 1");
+        if (config.relaunch_backoff.initial > config.relaunch_backoff.max)
+            return usage(argv[0],
+                         "--relaunch-initial-ms must not exceed --relaunch-max-ms");
         if (::mkdir(work_dir.c_str(), 0755) != 0 && errno != EEXIST)
             return usage(argv[0],
                          ("cannot create --work-dir " + work_dir + ": "
@@ -215,11 +220,6 @@ int main(int argc, char** argv)
         config.work_dir = work_dir;
         config.max_shard_attempts = 1 + shard_retries;
         config.cancel = &g_interrupted;
-
-        // Supervision state is always persisted: a coordinator that
-        // dies mid-run and is rerun over the same work dir re-adopts
-        // its fleet instead of relaunching finished work.
-        config.fleet_path = work_dir + "/fleet.anf";
 
         if (!config.worker_journal_dir.empty()
             && ::mkdir(config.worker_journal_dir.c_str(), 0755) != 0
@@ -243,31 +243,12 @@ int main(int argc, char** argv)
                 progress(done, total);
             };
 
-        // The merged-row sinks: identical wiring to anc_sweep --stream,
-        // so the streamed artifacts are byte-identical to its output.
-        std::optional<Stream_file> json_stream, tasks_csv_stream;
-        std::optional<engine::Json_stream_writer> json_writer;
-        std::optional<engine::Tasks_csv_stream_writer> csv_writer;
-        engine::Aggregator aggregator;
+        // The merged rows reach the same artifacts anc_sweep writes.
+        Row_artifacts artifacts{json_path, csv_path, tasks_csv_path, stream};
         if (stream) {
             config.collect_results = false;
-            if (!json_path.empty()) {
-                json_stream.emplace(json_path);
-                json_writer.emplace(json_stream->stream());
-            }
-            if (!tasks_csv_path.empty()) {
-                tasks_csv_stream.emplace(tasks_csv_path);
-                csv_writer.emplace(tasks_csv_stream->stream());
-            }
-            config.on_result = [&](const engine::Task_result& result) {
-                // Aggregate BEFORE emitting (Aggregator::add sorts CDFs
-                // in place) — the same order as the batch path, so
-                // streamed and batch bytes match.
-                aggregator.add(result);
-                if (json_writer)
-                    json_writer->add(result);
-                if (csv_writer)
-                    csv_writer->add(result);
+            config.on_result = [&artifacts](const engine::Task_result& result) {
+                artifacts.add(result);
             };
         }
 
@@ -282,35 +263,8 @@ int main(int argc, char** argv)
             engine::run_coordinated(grid, registry, base_seed, config);
         const bool interrupted = g_interrupted.load(std::memory_order_relaxed);
 
-        std::vector<engine::Point_summary> points;
-        if (stream) {
-            points = aggregator.take();
-            if (json_writer) {
-                json_writer->finish(points);
-                json_stream->commit();
-            }
-            if (csv_writer)
-                tasks_csv_stream->commit();
-            if (!csv_path.empty())
-                write_file_atomic(csv_path, [&](std::ostream& out) {
-                    engine::write_summary_csv(out, points);
-                });
-        } else {
-            points = engine::aggregate(outcome.results);
-            if (!json_path.empty())
-                write_file_atomic(json_path, [&](std::ostream& out) {
-                    engine::write_json(out, outcome.results, points);
-                });
-            if (!csv_path.empty())
-                write_file_atomic(csv_path, [&](std::ostream& out) {
-                    engine::write_summary_csv(out, points);
-                });
-            if (!tasks_csv_path.empty())
-                write_file_atomic(tasks_csv_path, [&](std::ostream& out) {
-                    engine::write_tasks_csv(out, outcome.results);
-                });
-        }
-
+        const std::vector<engine::Point_summary> points =
+            artifacts.publish(outcome.results);
         if (!quiet)
             engine::print_summary_table(stdout, points);
         if (!metrics_json_path.empty())

@@ -194,24 +194,6 @@ private:
     bool failed_ = false;
 };
 
-void emit_artifacts(const Cli_options& options,
-                    const std::vector<engine::Task_result>& results,
-                    const std::vector<engine::Point_summary>& points)
-{
-    if (!options.json_path.empty())
-        write_file_atomic(options.json_path, [&](std::ostream& out) {
-            engine::write_json(out, results, points);
-        });
-    if (!options.csv_path.empty())
-        write_file_atomic(options.csv_path, [&](std::ostream& out) {
-            engine::write_summary_csv(out, points);
-        });
-    if (!options.tasks_csv_path.empty())
-        write_file_atomic(options.tasks_csv_path, [&](std::ostream& out) {
-            engine::write_tasks_csv(out, results);
-        });
-}
-
 /// The one-line completion contract on stderr (satellite of the exit
 /// codes): machine-greppable, always printed, even under --quiet.
 void print_summary_line(const engine::Run_tally& tally, bool interrupted)
@@ -291,11 +273,12 @@ int run_merge(const Cli_options& options)
     engine::Run_tally tally;
     const std::vector<engine::Task_result> results =
         engine::run_sweep(tasks, registry, config, &tally);
-    const std::vector<engine::Point_summary> points = engine::aggregate(results);
+    const std::vector<engine::Point_summary> points =
+        Row_artifacts{options.json_path, options.csv_path, options.tasks_csv_path, false}
+            .publish(results);
 
     if (!options.quiet)
         engine::print_summary_table(stdout, points);
-    emit_artifacts(options, results, points);
     print_summary_line(tally, false);
     if (missing > 0)
         return 3;
@@ -404,30 +387,12 @@ int run_sweep_cli(const Cli_options& options_in)
     // --stream: rows leave the process as tasks finish, and the result
     // vector is only materialized when the metrics manifest (which
     // journals every task) asks for it.
-    std::optional<Stream_file> json_stream, tasks_csv_stream;
-    std::optional<engine::Json_stream_writer> json_writer;
-    std::optional<engine::Tasks_csv_stream_writer> csv_writer;
-    engine::Aggregator aggregator;
+    Row_artifacts artifacts{options.json_path, options.csv_path, options.tasks_csv_path,
+                            options.stream};
     if (options.stream) {
         options.config.collect_results = !options.metrics_json_path.empty();
-        if (!options.json_path.empty()) {
-            json_stream.emplace(options.json_path);
-            json_writer.emplace(json_stream->stream());
-        }
-        if (!options.tasks_csv_path.empty()) {
-            tasks_csv_stream.emplace(options.tasks_csv_path);
-            csv_writer.emplace(tasks_csv_stream->stream());
-        }
-        options.config.on_result = [&](const engine::Task_result& result) {
-            // Aggregate BEFORE emitting: Aggregator::add sorts the
-            // row's CDFs in place (lazy-sort side effect), and the batch
-            // path aggregates everything before writing — matching the
-            // order keeps streamed and batch bytes identical.
-            aggregator.add(result);
-            if (json_writer)
-                json_writer->add(result);
-            if (csv_writer)
-                csv_writer->add(result);
+        options.config.on_result = [&artifacts](const engine::Task_result& result) {
+            artifacts.add(result);
         };
     }
 
@@ -439,23 +404,7 @@ int run_sweep_cli(const Cli_options& options_in)
     if (journal)
         journal->flush();
 
-    std::vector<engine::Point_summary> points;
-    if (options.stream) {
-        points = aggregator.take();
-        if (json_writer) {
-            json_writer->finish(points);
-            json_stream->commit();
-        }
-        if (csv_writer)
-            tasks_csv_stream->commit();
-        if (!options.csv_path.empty())
-            write_file_atomic(options.csv_path, [&](std::ostream& out) {
-                engine::write_summary_csv(out, points);
-            });
-    } else {
-        points = engine::aggregate(results);
-        emit_artifacts(options, results, points);
-    }
+    const std::vector<engine::Point_summary> points = artifacts.publish(results);
 
     if (!options.quiet)
         engine::print_summary_table(stdout, points);
@@ -490,7 +439,7 @@ int main(int argc, char** argv)
             if (grid_cli.try_parse(arg, value))
                 continue;
             if (arg == "--threads")
-                options.config.threads = parse_size_axis(value()).front();
+                options.config.threads = parse_count(arg, value());
             else if (arg == "--json")
                 options.json_path = value();
             else if (arg == "--csv")
@@ -511,7 +460,7 @@ int main(int argc, char** argv)
                 for (std::string& path : parse_path_list(value()))
                     options.merge_paths.push_back(std::move(path));
             } else if (arg == "--task-retries")
-                options.config.max_attempts = 1 + parse_size_axis(value()).front();
+                options.config.max_attempts = 1 + parse_count(arg, value());
             else if (arg == "--journal-stream")
                 options.journal_stream = true;
             else if (arg == "--stream")

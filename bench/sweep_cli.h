@@ -1,6 +1,7 @@
 // Shared command-line plumbing for the sweep front-ends (bench/anc_sweep
 // and bench/anc_coordinator): axis parsing, the grid-flag table, the
-// TTY progress line, and the atomic streaming file.
+// TTY progress line, and the row artifacts (--json, --csv, --tasks-csv)
+// written in batch or streamed through an atomic streaming file.
 //
 // The two CLIs must agree on every grid flag byte for byte — the
 // coordinator forwards its grid flags verbatim to the `anc_sweep`
@@ -10,10 +11,13 @@
 
 #pragma once
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,6 +26,7 @@
 #include <unistd.h>
 
 #include "engine/engine.h"
+#include "util/atomic_file.h"
 #include "util/rate_limiter.h"
 
 namespace anc::bench {
@@ -77,6 +82,21 @@ inline std::vector<std::size_t> parse_size_axis(const std::string& text)
         values.push_back(static_cast<std::size_t>(v + 0.5));
     }
     return values;
+}
+
+/// The value of a count flag (--workers, --threads, --heartbeat-ms...):
+/// one plain non-negative whole number.  A list, range, sign or fraction
+/// is refused — read as an axis it would silently run its first element
+/// or round.
+inline std::size_t parse_count(const std::string& flag, const std::string& text)
+{
+    const bool digits =
+        !text.empty() && text.find_first_not_of("0123456789") == std::string::npos;
+    errno = 0;
+    const unsigned long long value = digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE)
+        throw std::invalid_argument{flag + " wants a whole number, got: " + text};
+    return static_cast<std::size_t>(value);
 }
 
 inline std::vector<std::string> parse_path_list(const std::string& text)
@@ -167,7 +187,7 @@ public:
                 });
         if (arg == "--repetitions")
             return take([&](const std::string& v) {
-                grid_->repetitions = parse_size_axis(v).front();
+                grid_->repetitions = parse_count(arg, v);
             });
         if (arg == "--seed")
             return take([&](const std::string& v) {
@@ -269,6 +289,78 @@ private:
     std::string tmp_;
     std::ofstream out_;
     bool committed_ = false;
+};
+
+/// A run's row artifacts (--json, --csv, --tasks-csv), written alike by
+/// both CLIs.  Batch: publish(results) writes each file atomically.
+/// Streamed (--stream): add() is the on_result sink, sending rows out as
+/// they arrive (O(window) memory); publish() finishes and commits the
+/// files.  Both modes give the same bytes.
+class Row_artifacts {
+public:
+    Row_artifacts(std::string json_path, std::string csv_path,
+                  std::string tasks_csv_path, bool stream)
+        : json_path_{std::move(json_path)}, csv_path_{std::move(csv_path)},
+          tasks_csv_path_{std::move(tasks_csv_path)}, stream_{stream}
+    {
+        if (stream_ && !json_path_.empty()) {
+            json_stream_.emplace(json_path_);
+            json_writer_.emplace(json_stream_->stream());
+        }
+        if (stream_ && !tasks_csv_path_.empty()) {
+            tasks_csv_stream_.emplace(tasks_csv_path_);
+            csv_writer_.emplace(tasks_csv_stream_->stream());
+        }
+    }
+
+    void add(const engine::Task_result& result)
+    {
+        // Aggregate BEFORE emitting: Aggregator::add sorts the row's
+        // CDFs in place (lazy-sort side effect), and the batch path
+        // aggregates everything before writing — matching the order
+        // keeps streamed and batch bytes identical.
+        aggregator_.add(result);
+        if (json_writer_)
+            json_writer_->add(result);
+        if (csv_writer_)
+            csv_writer_->add(result);
+    }
+
+    /// Write every requested file; `results` is read only in batch
+    /// mode.  Returns the aggregate points.
+    std::vector<engine::Point_summary> publish(
+        const std::vector<engine::Task_result>& results)
+    {
+        const std::vector<engine::Point_summary> points =
+            stream_ ? aggregator_.take() : engine::aggregate(results);
+        if (json_writer_) {
+            json_writer_->finish(points);
+            json_stream_->commit();
+        } else if (!json_path_.empty()) {
+            write_file_atomic(json_path_, [&](std::ostream& out) {
+                engine::write_json(out, results, points);
+            });
+        }
+        if (!csv_path_.empty())
+            write_file_atomic(csv_path_, [&](std::ostream& out) {
+                engine::write_summary_csv(out, points);
+            });
+        if (csv_writer_)
+            tasks_csv_stream_->commit();
+        else if (!tasks_csv_path_.empty())
+            write_file_atomic(tasks_csv_path_, [&](std::ostream& out) {
+                engine::write_tasks_csv(out, results);
+            });
+        return points;
+    }
+
+private:
+    std::string json_path_, csv_path_, tasks_csv_path_;
+    bool stream_;
+    std::optional<Stream_file> json_stream_, tasks_csv_stream_;
+    std::optional<engine::Json_stream_writer> json_writer_;
+    std::optional<engine::Tasks_csv_stream_writer> csv_writer_;
+    engine::Aggregator aggregator_;
 };
 
 } // namespace anc::bench

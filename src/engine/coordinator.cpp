@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -13,8 +12,6 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-
-#include "engine/fleet.h"
 
 namespace anc::engine {
 
@@ -26,8 +23,10 @@ constexpr std::size_t no_slot = std::numeric_limits<std::size_t>::max();
 
 /// Supervision state of one shard: its tailer, the attached child (when
 /// running), and the unique-entry count that decides completeness.
+/// `adopted` is running without a child of ours: a writer that outlived
+/// a previous coordinator.
 struct Shard_state {
-    enum class Status { pending, running, done, failed };
+    enum class Status { pending, running, adopted, done, failed };
 
     std::size_t index = 1; ///< 1-based shard number
     std::size_t task_count = 0;
@@ -47,11 +46,6 @@ struct Shard_state {
     /// Relaunch escalation (Coordinator_config::relaunch_backoff).
     util::Backoff backoff;
     clock::time_point next_launch{}; ///< epoch = launchable now
-    /// Adopted from a prior coordinator's fleet journal while last seen
-    /// running: its worker may still be alive (streaming into the
-    /// mirror, or an orphaned local process appending).  The shard is
-    /// not relaunched until a heartbeat window passes with no progress.
-    bool adopted_grace = false;
 };
 
 /// Tasks a round-robin shard K/S owns out of `total` (the number of
@@ -71,6 +65,13 @@ std::string shard_journal_path(const std::string& work_dir, std::size_t shard_in
 }
 
 namespace {
+
+/// Shard K's worker stderr log, whose lock tells whether any process
+/// of a worker tree launched for K is still alive (util::Spawn_options).
+std::string worker_log_path(const std::string& work_dir, std::size_t shard_index)
+{
+    return work_dir + "/worker_shard" + std::to_string(shard_index) + ".log";
+}
 
 /// Make `mirror` safe to append to.  A link severed mid-line leaves a
 /// partial final line, and the next attempt's first line would splice
@@ -112,8 +113,7 @@ bool worker_stdio(const Worker_request& req, const std::string& work_dir,
     if (streamed)
         neutralize_torn_tail(mirror);
     options.stdout_path = streamed ? mirror : "/dev/null";
-    options.stderr_path =
-        work_dir + "/worker_shard" + std::to_string(req.shard_index) + ".log";
+    options.stderr_path = worker_log_path(work_dir, req.shard_index);
     return streamed;
 }
 
@@ -248,8 +248,7 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
         throw std::invalid_argument{"run_coordinated: max_shard_attempts must be >= 1"};
     if (config.work_dir.empty())
         throw std::invalid_argument{"run_coordinated: work_dir is required"};
-    // A zero window would declare every worker stalled on its first
-    // poll and leave adopted shards no grace at all.
+    // A zero window would declare every worker stalled on its first poll.
     if (config.heartbeat_timeout.count() <= 0)
         throw std::invalid_argument{"run_coordinated: heartbeat_timeout must be > 0"};
 
@@ -284,72 +283,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
         if (shard.task_count == 0)
             shard.status = Shard_state::Status::done; // more shards than tasks
     }
-
-    // ---- fleet state: load what a prior coordinator left behind ------
-    // A compatible fleet journal restores attempt counts and marks
-    // shards last seen running for adoption: their workers may still be
-    // alive (an orphaned local process, or a remote worker streaming
-    // into the mirror), so they get a heartbeat window to show progress
-    // before being relaunched.  An unreadable fleet file (torn header —
-    // our own crash artifact) is discarded; an INCOMPATIBLE one is a
-    // configuration error, same contract as the shard journals.
-    std::unique_ptr<Fleet_journal> fleet;
-    if (!config.fleet_path.empty()) {
-        const Fleet_header fleet_header{grid_fingerprint(grid), base_seed, total,
-                                        shard_count};
-        Fleet_state prior;
-        bool have_prior = false;
-        if (::access(config.fleet_path.c_str(), F_OK) == 0) {
-            try {
-                prior = load_fleet(config.fleet_path);
-                have_prior = true;
-            } catch (const std::runtime_error&) {
-                have_prior = false;
-            }
-        }
-        if (have_prior) {
-            std::string why;
-            if (!fleet_compatible(prior.header, grid, base_seed, total,
-                                  shard_count, &why))
-                throw std::runtime_error{"run_coordinated: " + config.fleet_path
-                                         + ": " + why};
-            const auto now = clock::now();
-            for (const auto& [index, record] : prior.shards) {
-                if (index < 1 || index > shard_count)
-                    continue;
-                Shard_state& shard = shards[index - 1];
-                if (shard.status == Shard_state::Status::done)
-                    continue; // zero-task shard
-                shard.attempts = record.attempts;
-                if (record.status == Fleet_shard_status::running) {
-                    shard.adopted_grace = true;
-                    shard.last_progress = now;
-                    ++stats.adoptions;
-                } else if (record.status == Fleet_shard_status::failed
-                           && record.attempts >= config.max_shard_attempts) {
-                    shard.status = Shard_state::Status::failed;
-                }
-                // done shards need no flag: their complete mirror
-                // journal re-proves it on the first poll below.
-            }
-        }
-        fleet = std::make_unique<Fleet_journal>(config.fleet_path, fleet_header,
-                                                /*truncate=*/!have_prior);
-        fleet->record_generation(have_prior ? prior.generations + 1 : 1);
-    }
-
-    const auto record_fleet = [&](const Shard_state& shard,
-                                  Fleet_shard_status status) {
-        if (!fleet)
-            return;
-        Fleet_record record;
-        record.shard = shard.index;
-        record.status = status;
-        record.attempts = shard.attempts;
-        record.slot = shard.slot == no_slot ? 0 : shard.slot;
-        record.watermark = shard.tailer.entries_seen();
-        fleet->record(record);
-    };
 
     // Slot bookkeeping: which shard occupies a slot, whether the slot
     // has run anything yet (the steal/initial distinction), and when
@@ -455,13 +388,29 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
                 ++stats.backoff_waits;
             }
         }
-        record_fleet(shard, shard.status == Shard_state::Status::done
-                                ? Fleet_shard_status::done
-                                : shard.status == Shard_state::Status::failed
-                                      ? Fleet_shard_status::failed
-                                      : Fleet_shard_status::pending);
         detach_slot(shard);
     };
+
+    // ---- start-up: each shard's state comes from its files -----------
+    // Complete journal: done.  Incomplete with its worker log locked: a
+    // live writer (an orphan of a previous coordinator), adopted and
+    // tailed, not launched over.  Otherwise pending: launched at once.
+    // The lock is probed before the journal is read, so a writer seen
+    // dead has left all it wrote in the journal.
+    for (Shard_state& shard : shards) {
+        if (shard.status != Shard_state::Status::pending)
+            continue; // zero-task shard
+        const bool alive =
+            util::stderr_lock_held(worker_log_path(config.work_dir, shard.index));
+        poll_shard(shard);
+        if (shard.have == shard.task_count) {
+            shard.status = Shard_state::Status::done;
+        } else if (alive) {
+            shard.status = Shard_state::Status::adopted;
+            shard.last_progress = start;
+            ++stats.adoptions;
+        }
+    }
 
     bool cancelled = false;
     while (true) {
@@ -501,16 +450,19 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
                     ++stats.slots[shard.slot].watchdog_kills;
                     settle_exit(shard);
                 }
-            } else if (shard.status == Shard_state::Status::pending) {
-                // Pre-existing journals (a coordinator restarted over
-                // its work_dir) contribute rows before any launch; a
-                // shard they already complete never launches at all.
+            } else if (shard.status == Shard_state::Status::adopted) {
+                // Not our child: its lock stands in for try_wait.  A dead
+                // writer's shard relaunches at once; a live one that
+                // stalls for a heartbeat window is launched over.
+                const bool alive = util::stderr_lock_held(
+                    worker_log_path(config.work_dir, shard.index));
                 poll_shard(shard);
-                if (shard.have == shard.task_count) {
+                if (shard.have == shard.task_count)
                     shard.status = Shard_state::Status::done;
-                    shard.adopted_grace = false;
-                    record_fleet(shard, Fleet_shard_status::done);
-                }
+                else if (!alive
+                         || clock::now() - shard.last_progress
+                                > config.heartbeat_timeout)
+                    shard.status = Shard_state::Status::pending;
             }
         }
 
@@ -518,16 +470,7 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
         for (Shard_state& shard : shards) {
             if (shard.status != Shard_state::Status::pending)
                 continue;
-            const auto now = clock::now();
-            if (shard.adopted_grace) {
-                // An adopted shard's worker may still be alive; poll
-                // its journal for a heartbeat window before declaring
-                // the orphan dead and relaunching.
-                if (now - shard.last_progress <= config.heartbeat_timeout)
-                    continue;
-                shard.adopted_grace = false;
-            }
-            if (now < shard.next_launch)
+            if (clock::now() < shard.next_launch)
                 continue; // backoff window after a failed attempt
             std::size_t slot = no_slot;
             for (std::size_t s = 0; s < workers; ++s) {
@@ -544,11 +487,14 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             request.shard_count = shard_count;
             request.journal_path = shard_journal_path(worker_journal_dir, shard.index);
             // Resume whenever a prior attempt may have left a journal:
-            // the mirror proves one existed, and any attempt after the
-            // first could have written one the coordinator cannot see
-            // (a remote filesystem).  anc_sweep degrades --resume of a
-            // missing/unusable journal to a fresh start.
-            request.resume = shard.tailer.have_header() || shard.attempts > 0;
+            // the mirror proves one existed, and any earlier worker (its
+            // log exists, from before a restart too) could have written
+            // one the coordinator cannot see (a remote filesystem).
+            // anc_sweep degrades --resume of a missing/unusable journal
+            // to a fresh start.
+            const std::string log = worker_log_path(config.work_dir, shard.index);
+            request.resume = shard.tailer.have_header() || shard.attempts > 0
+                             || ::access(log.c_str(), F_OK) == 0;
             request.attempt = shard.attempts + 1;
             request.slot = slot;
 
@@ -567,15 +513,14 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
             else if (slot_used[slot])
                 ++stats.steals; // an idle worker picking up extra work
             slot_used[slot] = 1;
-            record_fleet(shard, Fleet_shard_status::running);
         }
 
         drain_merge();
 
         bool active = false;
         for (const Shard_state& shard : shards)
-            if (shard.status == Shard_state::Status::pending
-                || shard.status == Shard_state::Status::running)
+            if (shard.status != Shard_state::Status::done
+                && shard.status != Shard_state::Status::failed)
                 active = true;
         if (!active)
             break;
@@ -605,9 +550,6 @@ Coordinator_outcome run_coordinated(const Sweep_grid& grid,
                 shard.status = Shard_state::Status::done;
             else
                 shard.status = Shard_state::Status::pending;
-            record_fleet(shard, shard.status == Shard_state::Status::done
-                                    ? Fleet_shard_status::done
-                                    : Fleet_shard_status::pending);
             detach_slot(shard);
         }
         drain_merge();

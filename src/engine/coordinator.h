@@ -110,8 +110,8 @@ struct Coordinator_stats {
     std::size_t worker_failures = 0;
     /// Relaunch delays scheduled through the per-shard backoff.
     std::size_t backoff_waits = 0;
-    /// Shards re-adopted from a prior coordinator's fleet journal
-    /// (last seen running; their workers may still be alive).
+    /// Shards found at start-up with a live writer: an incomplete
+    /// journal whose worker log a previous coordinator's tree still locks.
     std::size_t adoptions = 0;
     std::size_t merged_tasks = 0;
     /// Torn/corrupt journal lines dropped across all shard tailers.
@@ -120,6 +120,8 @@ struct Coordinator_stats {
     std::vector<Worker_slot_stats> slots;
 };
 
+/// No coordinator state is persisted: a restart reads each shard's state
+/// from its journal and worker-log lock (ENGINE.md "Remote workers").
 struct Coordinator_config {
     std::size_t workers = 2;
     /// Shard count; 0 means "= workers".  S > workers enables stealing.
@@ -148,11 +150,6 @@ struct Coordinator_config {
     /// remote host unreachable).  0 = use heartbeat_timeout.  Startup
     /// stalls are typically detectable much faster than mid-run ones.
     std::chrono::milliseconds startup_timeout{0};
-    /// anc.fleet.v1 state journal path (engine/fleet.h): persisted
-    /// supervision state that lets a restarted coordinator re-adopt
-    /// running shards and carry attempt counts forward.  Empty
-    /// disables persistence.
-    std::string fleet_path;
     /// Directory workers journal into (Worker_request::journal_path).
     /// Empty (or the same directory as work_dir) = work_dir: the local
     /// filesystem-sharing fleet.  Distinct from work_dir when the

@@ -13,6 +13,9 @@
 
 namespace anc::engine {
 
+namespace {
+
+/// Byte-wise CRC-32/IEEE (reflected) over a journal line's bytes.
 std::uint32_t journal_crc32(const char* data, std::size_t size)
 {
     static const std::array<std::uint32_t, 256> table = [] {
@@ -31,6 +34,7 @@ std::uint32_t journal_crc32(const char* data, std::size_t size)
     return crc ^ 0xffffffffu;
 }
 
+/// `<crc32-hex> <payload>\n` — the stamped wire form of one line.
 std::string stamp_line(const std::string& payload)
 {
     char crc[12];
@@ -39,6 +43,8 @@ std::string stamp_line(const std::string& payload)
     return crc + payload + "\n";
 }
 
+/// Split off the 8-hex CRC prefix of a line (no trailing newline) and
+/// verify it; false on any defect.
 bool check_stamped_line(const std::string& line, std::string& payload)
 {
     if (line.size() < 10 || line[8] != ' ')
@@ -57,8 +63,6 @@ bool check_stamped_line(const std::string& line, std::string& payload)
     payload = line.substr(9);
     return journal_crc32(payload.data(), payload.size()) == stored;
 }
-
-namespace {
 
 // ---- primitives -------------------------------------------------------
 

@@ -48,23 +48,6 @@ inline constexpr const char* journal_magic = "anc.journal.v1";
 /// which travels (and is checked) as its own header field.
 std::uint64_t grid_fingerprint(const Sweep_grid& grid);
 
-// ---- line primitives --------------------------------------------------
-// Shared by every CRC-stamped line format in the engine: the journal
-// itself and the coordinator's anc.fleet.v1 state journal
-// (engine/fleet.h).
-
-/// Byte-wise CRC-32/IEEE (reflected).  util/crc.h works on bit-per-byte
-/// spans (the PHY's framing domain); journal lines are ordinary byte
-/// strings, so they get the ordinary byte algorithm.
-std::uint32_t journal_crc32(const char* data, std::size_t size);
-
-/// `<crc32-hex> <payload>\n` — the stamped wire form of one line.
-std::string stamp_line(const std::string& payload);
-
-/// Split off the 8-hex CRC prefix of a line (no trailing newline) and
-/// verify it; false on any defect.
-bool check_stamped_line(const std::string& line, std::string& payload);
-
 struct Journal_header {
     std::uint64_t grid_hash = 0;
     std::uint64_t base_seed = 1;

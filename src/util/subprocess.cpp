@@ -7,6 +7,7 @@
 #include <thread>
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -66,6 +67,18 @@ void redirect_or_die(const std::string& path, int target_fd)
 
 } // namespace
 
+bool stderr_lock_held(const std::string& stderr_path)
+{
+    const int fd = ::open(stderr_path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    // A shared probe conflicts only with a tree's exclusive lock, and
+    // closing the descriptor drops the probe's own lock at once.
+    const bool held = ::flock(fd, LOCK_SH | LOCK_NB) != 0 && errno == EWOULDBLOCK;
+    ::close(fd);
+    return held;
+}
+
 Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
                              const Spawn_options& options)
 {
@@ -94,6 +107,9 @@ Subprocess Subprocess::spawn(const std::vector<std::string>& argv,
         ::setpgid(0, 0);
         redirect_or_die(options.stdout_path, STDOUT_FILENO);
         redirect_or_die(options.stderr_path, STDERR_FILENO);
+        // The tree's liveness lock (Spawn_options); best effort.
+        if (!options.stderr_path.empty())
+            ::flock(STDERR_FILENO, LOCK_EX | LOCK_NB);
         ::execvp(cargv[0], cargv.data());
         // exec only returns on failure; 127 is the shell's "command not
         // found / not runnable" convention the caller can distinguish.
@@ -189,12 +205,6 @@ void Subprocess::kill(int signum) const
 {
     if (running())
         kill_tree(pid_, signum);
-}
-
-void Subprocess::detach()
-{
-    pid_ = -1;
-    reaped_ = false;
 }
 
 bool Subprocess::exited() const

@@ -9,10 +9,10 @@
 //
 // Ownership model: a Subprocess owns exactly one child.  It is move-only;
 // the destructor of a still-running child SIGKILLs and reaps it, so a
-// throwing supervisor cannot strand workers (detach() opts out).  After
-// the child has been reaped (try_wait()/wait()/wait_for() returned
-// true), the exit disposition is readable via exited()/exit_code()/
-// signalled()/term_signal().
+// throwing supervisor cannot strand workers.  After the child has been
+// reaped (try_wait()/wait()/wait_for() returned true), the exit
+// disposition is readable via exited()/exit_code()/signalled()/
+// term_signal().
 
 #pragma once
 
@@ -27,10 +27,21 @@ namespace anc::util {
 /// Optional stdio redirection for spawn().  Empty paths inherit the
 /// parent's descriptors.  Files are opened O_CREAT|O_APPEND (0644), so
 /// several attempts of the same worker can share one log.
+///
+/// A redirected stderr also carries the child's liveness: between fork
+/// and exec the child takes flock(LOCK_EX|LOCK_NB) on it.  Its whole tree
+/// (sh -c wrappers, pipeline stages, an ssh client) inherits that open
+/// file description, so the kernel drops the lock when the last of them
+/// exits, however it dies.  fd 2, because ssh closes every fd above
+/// stderr at start-up.  A child that cannot take the lock runs anyway.
 struct Spawn_options {
     std::string stdout_path;
     std::string stderr_path;
 };
+
+/// True while a process tree spawned with `stderr_path` as its stderr
+/// is alive, even one whose parent is long gone (Spawn_options).
+bool stderr_lock_held(const std::string& stderr_path);
 
 class Subprocess {
 public:
@@ -45,7 +56,7 @@ public:
                             const Spawn_options& options = {});
 
     /// SIGKILL + reap when the child is still running (supervisors must
-    /// not leak zombies on unwind).  detach() opts out.
+    /// not leak zombies on unwind).
     ~Subprocess();
 
     Subprocess(Subprocess&& other) noexcept;
@@ -74,10 +85,6 @@ public:
     /// Send a signal (default SIGKILL).  No-op after the reap or on an
     /// empty handle.
     void kill(int signum = 9) const;
-
-    /// Forget the child without killing it (it keeps running; init
-    /// reaps it).  The handle becomes empty.
-    void detach();
 
     // ---- exit disposition (valid once try_wait/wait returned true) ----
     /// The child called exit()/_exit() (as opposed to dying on a signal).

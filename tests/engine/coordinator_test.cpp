@@ -16,11 +16,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/emit.h"
 #include "engine/engine.h"
-#include "engine/fleet.h"
 #include "engine/journal.h"
 #include "util/rng.h"
 
@@ -378,6 +378,30 @@ TEST(Coordinator, IncompatibleShardJournalIsFatal)
                  std::runtime_error);
 }
 
+TEST(Coordinator, IncompatibleFleetJournalIsFatal)
+{
+    const Scenario_registry registry = noisy_registry();
+    const Sweep_grid grid = small_grid();
+    Temp_dir dir{"coord_fleet_incompat"};
+
+    // The work dir holds a complete fleet of journals from a run over a
+    // DIFFERENT grid (same seed, same shard count): the grid fingerprint
+    // refuses it before any shard counts as done or any worker launches.
+    Sweep_grid other = grid;
+    other.snr_db = {10.0, 30.0};
+    for (std::size_t k = 1; k <= 2; ++k)
+        prebuild_shard(other, registry, /*seed=*/21, k, 2,
+                       shard_journal_path(dir.path, k));
+
+    Coordinator_config config = base_config(dir.path, 2, 2);
+    config.launcher = script_launcher([](const Worker_request&) -> std::string {
+        ADD_FAILURE() << "no worker should launch over a foreign fleet";
+        return "exit 0";
+    });
+    EXPECT_THROW(run_coordinated(grid, registry, /*base_seed=*/21, config),
+                 std::runtime_error);
+}
+
 TEST(Coordinator, RejectsInvalidConfig)
 {
     const Scenario_registry registry = noisy_registry();
@@ -500,92 +524,109 @@ TEST(Coordinator, DistinguishesStartupStallsFromMidRunStalls)
               reference_json(grid, registry, seed));
 }
 
-TEST(Coordinator, RestartAdoptsFleetStateAndCarriesAttemptsForward)
+/// A dead coordinator's legacy: shard 1's journal is complete, shard 2's
+/// stops after two tasks; shard 2's whole journal waits at "<dir>/pre2".
+void leave_restart_legacy(const Sweep_grid& grid, const Scenario_registry& registry,
+                          std::uint64_t seed, const std::string& dir)
+{
+    prebuild_shard(grid, registry, seed, 1, 2, shard_journal_path(dir, 1));
+    prebuild_shard(grid, registry, seed, 2, 2, dir + "/pre2");
+    truncate_lines(dir + "/pre2", shard_journal_path(dir, 2), 2 + 2);
+}
+
+/// A writer that outlived its coordinator: `script` runs with shard 2's
+/// worker log as its stderr, as the launchers spawn workers, so it holds
+/// that log's lock.  Returns once the lock is held.
+util::Subprocess orphan_writer(const std::string& dir, const std::string& script)
+{
+    util::Spawn_options options;
+    options.stdout_path = "/dev/null";
+    options.stderr_path = dir + "/worker_shard2.log";
+    util::Subprocess writer = util::Subprocess::spawn({"/bin/sh", "-c", script}, options);
+    for (int i = 0; i < 2000 && !util::stderr_lock_held(options.stderr_path); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds{5});
+    EXPECT_TRUE(util::stderr_lock_held(options.stderr_path));
+    return writer;
+}
+
+TEST(Coordinator, RestartAdoptsShardWhoseWriterIsAlive)
 {
     const Scenario_registry registry = noisy_registry();
     const Sweep_grid grid = small_grid();
     const std::uint64_t seed = 37;
-    Temp_dir dir{"coord_fleet_restart"};
-    const std::vector<Sweep_task> tasks = expand(grid, registry);
+    Temp_dir dir{"coord_adopt_live"};
+    leave_restart_legacy(grid, registry, seed, dir.path);
 
-    // The crashed coordinator's legacy: shard 1's journal is complete,
-    // shard 2's stops after two tasks, and the fleet journal says both
-    // were RUNNING (their workers may still be alive) with shard 2 on
-    // its second attempt.
-    prebuild_shard(grid, registry, seed, 1, 2, shard_journal_path(dir.path, 1));
-    prebuild_shard(grid, registry, seed, 2, 2, dir.path + "/pre2");
-    truncate_lines(dir.path + "/pre2", shard_journal_path(dir.path, 2), 4);
-    {
-        Fleet_header header;
-        header.grid_hash = grid_fingerprint(grid);
-        header.base_seed = seed;
-        header.tasks = tasks.size();
-        header.shards = 2;
-        Fleet_journal fleet{dir.path + "/fleet.anf", header, /*truncate=*/true};
-        fleet.record_generation(1);
-        Fleet_record r1;
-        r1.shard = 1;
-        r1.status = Fleet_shard_status::running;
-        r1.attempts = 1;
-        r1.slot = 0;
-        r1.watermark = 3;
-        fleet.record(r1);
-        Fleet_record r2 = r1;
-        r2.shard = 2;
-        r2.attempts = 2;
-        r2.slot = 1;
-        r2.watermark = 2;
-        fleet.record(r2);
-    }
+    // Once the coordinator has merged the rows it found at start-up (the
+    // gate), the live writer appends the rest of shard 2 line by line,
+    // then idles with the lock still held.
+    const std::string gate = dir.path + "/gate", pre2 = dir.path + "/pre2";
+    const util::Subprocess writer = orphan_writer(
+        dir.path, "while [ ! -e '" + gate + "' ]; do sleep 0.01; done; i=5; "
+                  "while [ $i -le $(wc -l < '" + pre2 + "') ]; do sed -n \"${i}p\" '"
+                      + pre2 + "' >> '" + shard_journal_path(dir.path, 2)
+                      + "'; sleep 0.02; i=$((i + 1)); done; exec sleep 60");
 
-    std::vector<Worker_request> log;
     Coordinator_config config = base_config(dir.path, 2, 2);
-    // Short heartbeat: the adopted-shard grace window (no worker is
-    // actually alive to make progress) must expire quickly.
-    config.heartbeat_timeout = std::chrono::milliseconds{300};
-    config.fleet_path = dir.path + "/fleet.anf";
-    config.launcher = script_launcher(
-        [&](const Worker_request& r) -> std::string {
-            EXPECT_EQ(r.shard_index, 2u) << "complete shard 1 must not relaunch";
-            return publish_script(dir.path + "/pre2", r.journal_path);
-        },
-        &log);
+    config.on_progress = [&gate](std::size_t, std::size_t) { std::ofstream{gate}; };
+    config.launcher = script_launcher([](const Worker_request&) -> std::string {
+        ADD_FAILURE() << "launched over a live writer";
+        return "exit 1";
+    });
     const Coordinator_outcome outcome = run_coordinated(grid, registry, seed, config);
 
     EXPECT_TRUE(outcome.completed);
-    EXPECT_EQ(outcome.stats.adoptions, 2u);
-    ASSERT_EQ(log.size(), 1u);
-    EXPECT_EQ(log[0].shard_index, 2u);
-    EXPECT_EQ(log[0].attempt, 3u); // prior attempts carried forward
-    EXPECT_TRUE(log[0].resume);
+    EXPECT_EQ(outcome.stats.adoptions, 1u);
     EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
               reference_json(grid, registry, seed));
-
-    // The fleet journal now records generation 2 and both shards done.
-    const Fleet_state after = load_fleet(dir.path + "/fleet.anf");
-    EXPECT_EQ(after.generations, 2u);
-    EXPECT_EQ(after.shards.at(1).status, Fleet_shard_status::done);
-    EXPECT_EQ(after.shards.at(2).status, Fleet_shard_status::done);
 }
 
-TEST(Coordinator, IncompatibleFleetJournalIsFatal)
+TEST(Coordinator, RestartLaunchesOverDeadOrStalledWriter)
 {
     const Scenario_registry registry = noisy_registry();
     const Sweep_grid grid = small_grid();
-    Temp_dir dir{"coord_fleet_incompat"};
+    const std::uint64_t seed = 39;
+    // Shard 2's writer is dead before the restart (its log exists,
+    // unlocked; not one line reached the mirror), dies once the
+    // coordinator has adopted it (the gate), or holds its lock without
+    // ever writing again.  Each relaunch resumes the worker's journal.
+    for (const std::string fate : {"dead", "dies", "stalls"}) {
+        SCOPED_TRACE(fate);
+        Temp_dir dir{"coord_writer_" + fate};
+        leave_restart_legacy(grid, registry, seed, dir.path);
+        std::ofstream{dir.path + "/worker_shard2.log"} << "killed\n";
+        if (fate == "dead")
+            std::ofstream{shard_journal_path(dir.path, 2)};
+        const std::string gate = dir.path + "/gate";
+        const std::string dies = "while [ ! -e '" + gate + "' ]; do sleep 0.01; done";
+        const util::Subprocess writer =
+            fate == "dead" ? util::Subprocess{}
+                           : orphan_writer(dir.path, fate == "dies" ? dies : "exec sleep 60");
 
-    Fleet_header header;
-    header.grid_hash = 0xdeadbeefu; // not this grid
-    header.base_seed = 1;
-    header.tasks = 1;
-    header.shards = 2;
-    Fleet_journal{dir.path + "/fleet.anf", header, /*truncate=*/true};
+        std::vector<Worker_request> log;
+        Coordinator_config config = base_config(dir.path, 2, 2); // 30 s heartbeat
+        if (fate == "stalls")
+            config.heartbeat_timeout = std::chrono::milliseconds{300};
+        config.on_progress = [&gate](std::size_t, std::size_t) { std::ofstream{gate}; };
+        config.launcher = script_launcher(
+            [&](const Worker_request& r) {
+                return publish_script(dir.path + "/pre2", r.journal_path);
+            },
+            &log);
+        const Coordinator_outcome outcome =
+            run_coordinated(grid, registry, seed, config);
 
-    Coordinator_config config = base_config(dir.path, 2, 2);
-    config.fleet_path = dir.path + "/fleet.anf";
-    config.launcher =
-        script_launcher([](const Worker_request&) { return std::string{"exit 0"}; });
-    EXPECT_THROW(run_coordinated(grid, registry, 21, config), std::runtime_error);
+        EXPECT_TRUE(outcome.completed);
+        EXPECT_EQ(outcome.stats.adoptions, fate == "dead" ? 0u : 1u);
+        ASSERT_EQ(log.size(), 1u);
+        EXPECT_EQ(log[0].shard_index, 2u);
+        EXPECT_EQ(log[0].attempt, 1u); // the attempt budget starts afresh
+        EXPECT_TRUE(log[0].resume);
+        // Neither the 30 s heartbeat nor the stalled writer's life is waited out.
+        EXPECT_LT(outcome.stats.wall_ns, 10'000'000'000u);
+        EXPECT_EQ(to_json(outcome.results, aggregate(outcome.results)),
+                  reference_json(grid, registry, seed));
+    }
 }
 
 TEST(Coordinator, StreamedShardsMergeByteIdenticalToDirectRun)

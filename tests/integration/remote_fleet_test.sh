@@ -4,10 +4,11 @@
 # their journals to stdout (--journal-stream), which the coordinator
 # appends to the shard mirrors in its work dir — while the link
 # misbehaves and the harness SIGKILLs random workers and SIGKILLs and
-# restarts the coordinator itself (anc.fleet.v1 re-adoption).  The
-# merged artifacts must stay byte-identical to an uninterrupted
-# single-process anc_sweep run at both the 1- and 8-worker
-# configurations.
+# restarts the coordinator itself.  The restarted coordinator adopts the
+# shards whose worker trees survived it (their worker logs are still
+# locked) and relaunches the rest at once.  The merged artifacts must
+# stay byte-identical to an uninterrupted single-process anc_sweep run
+# at both the 1- and 8-worker configurations.
 #
 # Link faults are standard tools in the launch template, keyed by
 # shard and attempt:
@@ -19,8 +20,10 @@
 #   shard 4, attempt 1   sed '5s/./#/30'    corrupt a task line in transit
 # A severed worker sees EPIPE on its next write and stops; the
 # coordinator relaunches the shard with --resume, and the replay from
-# byte 0 fills in whatever the link lost.  A last, fault-free leg runs
-# exec'd workers (no template) to show exec_launcher streams too.
+# byte 0 fills in whatever the link lost.  A restarted coordinator counts
+# attempts afresh, so the faults replay after the restart; the retry
+# budget covers that.  A last, fault-free leg runs exec'd workers (no
+# template) to show exec_launcher streams too.
 #
 # usage: remote_fleet_test.sh /path/to/anc_coordinator /path/to/anc_sweep
 set -eu
@@ -87,8 +90,8 @@ kill_one_worker() {
 }
 
 # chaos_run LEG WORKERS SHARDS: the template's link faults, worker
-# SIGKILLs, and one coordinator SIGKILL+restart (fleet re-adoption) —
-# then byte-compare everything.
+# SIGKILLs, and one coordinator SIGKILL+restart (adoption of the live
+# workers) — then byte-compare everything.
 chaos_run() {
     LEG=$1; WORKERS=$2; SHARDS=$3
     CDIR="$WORKDIR/wd_$LEG"
@@ -100,8 +103,8 @@ chaos_run() {
     kill_one_worker "$CDIR"
 
     # The coordinator dies mid-run; its workers (own process groups)
-    # survive and keep appending to the mirrors until the restarted
-    # coordinator re-adopts them via fleet.anf.
+    # survive and keep appending to the mirrors.  The restarted
+    # coordinator adopts every shard whose worker log is still locked.
     sleep 0.7
     if kill -0 "$COORD_PID" 2>/dev/null; then
         kill -KILL "$COORD_PID" 2>/dev/null || true
@@ -132,7 +135,6 @@ chaos_run() {
     # The corrupted and torn lines reached a mirror and were dropped
     # there, not merged.
     grep -q '"dropped_journal_lines":[1-9]' "out_${LEG}_metrics.json"
-    [ -f "$CDIR/fleet.anf" ]
     echo "   byte-identical (leg $LEG)"
 }
 

@@ -6,8 +6,9 @@
 #   "anc_sweep: N ok, N error, N skipped, resumed N[ [interrupted]]"
 # that must land on stderr on every path, --quiet included.  Also the
 # anc_coordinator refusals of a config that could never supervise
-# (exit 2), and a --journal-stream worker stopping when its stdout
-# breaks.
+# (exit 2), count flags of both CLIs refusing anything but one whole
+# number (exit 2), and a --journal-stream worker stopping when its
+# stdout breaks.
 #
 # usage: sweep_exit_codes_test.sh /path/to/anc_sweep /path/to/anc_coordinator
 set -eu
@@ -93,6 +94,30 @@ for BAD in "{jornal}" "{stream}"; do
     grep -q "unknown placeholder $BAD" stderr.log
 done
 [ ! -e wd_tpl/shard1.anj ]
+
+# Relaunch backoff that starts above its own cap.
+# shellcheck disable=SC2086
+[ "$(rc "$COORD" --worker "$SWEEP" --work-dir wd_backoff $GRID \
+    --relaunch-initial-ms 600 --relaunch-max-ms 500)" = 2 ]
+grep -q "^error: --relaunch-initial-ms must not exceed --relaunch-max-ms" stderr.log
+
+echo "== exit 2: count flags take one whole number, not a list or fraction"
+# Read as an axis, "2,4" used to run 2 and "2.5" to round, exit 0.
+for FLAG in --threads --task-retries --repetitions --workers --shards \
+            --worker-threads --heartbeat-ms --poll-ms --shard-retries \
+            --startup-timeout-ms --relaunch-initial-ms --relaunch-max-ms; do
+    for BAD in 2,4 2.5 1:3:1 -1; do
+        # shellcheck disable=SC2086
+        case $FLAG in
+            --threads|--task-retries) STATUS=$(rc "$SWEEP" $GRID "$FLAG" "$BAD") ;;
+            *) STATUS=$(rc "$COORD" --worker "$SWEEP" --work-dir wd_count $GRID \
+                   "$FLAG" "$BAD") ;;
+        esac
+        [ "$STATUS" = 2 ]
+        grep -q "^error: $FLAG wants a whole number, got: $BAD" stderr.log
+    done
+done
+[ ! -e wd_count ]   # refused while parsing, before anything is made
 
 echo "== a --journal-stream worker whose stdout breaks stops (exit 4)"
 # SIGPIPE ignored, as under anc_coordinator (util/subprocess.cpp): the

@@ -1,7 +1,8 @@
 // util::Subprocess — the fork/exec + reap primitive under the sweep
-// coordinator: spawn, wait, timeouts, kill, exit-code decoding, and
-// output redirection.  Everything here must hold without leaking
-// zombies (the destructor contract).
+// coordinator: spawn, wait, timeouts, kill, exit-code decoding, output
+// redirection, and the stderr lock that tells a restarted coordinator
+// which worker trees are still alive.  Everything here must hold
+// without leaking zombies (the destructor contract).
 
 #include "util/subprocess.h"
 
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -27,6 +29,22 @@ struct Temp_path {
     ~Temp_path() { std::remove(path.c_str()); }
     std::string path;
 };
+
+/// Poll `done` every 5 ms for up to 10 s; its last answer.
+template <class Predicate>
+bool eventually(Predicate done)
+{
+    for (int i = 0; i < 2000 && !done(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds{5});
+    return done();
+}
+
+/// Shell text that waits (30 s at most) until `path` exists.
+std::string await(const std::string& path)
+{
+    return "i=0; until [ -e '" + path + "' ] || [ $i -ge 3000 ]; do sleep 0.01; "
+           "i=$((i + 1)); done";
+}
 
 TEST(Subprocess, TrueExitsZero)
 {
@@ -132,6 +150,34 @@ TEST(Subprocess, KillAfterExitIsHarmless)
     child.wait();
     child.kill(SIGKILL); // no-op, must not throw or signal a stranger
     EXPECT_EQ(child.exit_code(), 0);
+}
+
+TEST(Subprocess, StderrLockLivesAsLongAsTheProcessTree)
+{
+    Temp_path log{"subprocess_lock.log"};
+    Temp_path child_gate{"subprocess_lock.child_gate"};
+    Temp_path tree_gate{"subprocess_lock.tree_gate"};
+    EXPECT_FALSE(stderr_lock_held(log.path)); // no file, no writer
+
+    // The child waits for its gate, then exits, leaving a backgrounded
+    // grandchild behind that waits for the second gate.
+    Spawn_options options;
+    options.stdout_path = "/dev/null";
+    options.stderr_path = log.path;
+    Subprocess child = Subprocess::spawn(
+        {"/bin/sh", "-c",
+         await(child_gate.path) + "; (" + await(tree_gate.path) + ") & exit 0"},
+        options);
+    EXPECT_TRUE(eventually([&] { return stderr_lock_held(log.path); }));
+
+    std::ofstream{child_gate.path};
+    EXPECT_EQ(child.wait(), 0);
+    EXPECT_TRUE(stderr_lock_held(log.path)); // the grandchild inherited it
+    // A second tree on a locked log cannot take the lock; it runs anyway.
+    EXPECT_EQ(Subprocess::spawn({"/bin/sh", "-c", "exit 5"}, options).wait(), 5);
+
+    std::ofstream{tree_gate.path};
+    EXPECT_TRUE(eventually([&] { return !stderr_lock_held(log.path); }));
 }
 
 } // namespace
